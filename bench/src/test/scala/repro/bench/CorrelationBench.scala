@@ -22,28 +22,10 @@ class CorrelationBench extends SparkSpec {
     scala.collection.mutable.Map.empty[Parsel.AlgoKind, Seq[Experiments.Cell]]
 
   private def sweeps(kind: Parsel.AlgoKind): Seq[Experiments.Cell] =
-    sweepCache.getOrElseUpdate(kind,
-      Experiments.timedSweep(spark, kind, partsList = partsList))
-
-  private def report(kind: Parsel.AlgoKind): Unit = {
-    val cells = sweeps(kind)
-    println(s"=== ${kind.name} sweep (scale 1/${Experiments.timedDiv}, " +
-      s"partitions ${partsList.mkString("/")}) ===")
-    for (parts <- partsList) {
-      val rComm = Experiments.correlation(cells, parts, _.commCost)
-      val rCut  = Experiments.correlation(cells, parts, _.cut)
-      println(f"  parts=$parts%3d  corr(time, CommCost)=${100 * rComm}%6.1f%%  " +
-        f"corr(time, Cut)=${100 * rCut}%6.1f%%")
-      Experiments.bestPartitioner(cells, parts).toSeq.sortBy(_._1)
-        .foreach { case (d, p) => println(f"    best($d%-14s) = $p") }
-    }
-    cells.foreach(c => println(
-      f"  ${c.run.dataset}%-14s ${c.run.partitioner}%-5s parts=${c.run.numPartitions}%3d " +
-      f"${c.run.millis}%10.1f ms  commCost=${c.metrics.commCost}%10d  cut=${c.metrics.cut}%10d"))
-  }
+    sweepCache.getOrElseUpdate(kind, Experiments.timedSweep(spark, kind))
 
   test("PageRank: execution time correlates positively with CommCost (paper: 95-96%)") {
-    report(Parsel.PR)
+    Experiments.printSweep(Parsel.PR, sweeps(Parsel.PR))
     for (parts <- partsList) {
       val r = Experiments.correlation(sweeps(Parsel.PR), parts, _.commCost)
       assert(r > 0.3, s"parts=$parts: corr ${100 * r}%")
@@ -51,7 +33,7 @@ class CorrelationBench extends SparkSpec {
   }
 
   test("ConnectedComponents: execution time correlates positively with CommCost (paper: 92-94%)") {
-    report(Parsel.CC)
+    Experiments.printSweep(Parsel.CC, sweeps(Parsel.CC))
     for (parts <- partsList) {
       val r = Experiments.correlation(sweeps(Parsel.CC), parts, _.commCost)
       assert(r > 0.2, s"parts=$parts: corr ${100 * r}%")
@@ -59,7 +41,7 @@ class CorrelationBench extends SparkSpec {
   }
 
   test("TriangleCount: execution time correlates positively with Cut (paper: 95-97%)") {
-    report(Parsel.TR)
+    Experiments.printSweep(Parsel.TR, sweeps(Parsel.TR))
     for (parts <- partsList) {
       val r = Experiments.correlation(sweeps(Parsel.TR), parts, _.cut)
       assert(r > 0.2, s"parts=$parts: corr ${100 * r}%")
@@ -67,7 +49,7 @@ class CorrelationBench extends SparkSpec {
   }
 
   test("SSSP: execution time correlates positively with CommCost (paper: 80-86%)") {
-    report(Parsel.SSSP)
+    Experiments.printSweep(Parsel.SSSP, sweeps(Parsel.SSSP))
     for (parts <- partsList) {
       val r = Experiments.correlation(sweeps(Parsel.SSSP), parts, _.commCost)
       assert(r > 0.1, s"parts=$parts: corr ${100 * r}%")

@@ -2,8 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Experiments
-import repro.graph.{Datasets, GraphOps}
-import repro.partition.{Metrics, Partitioners}
 import repro.sim.{BspCostModel, Infra}
 
 /** Reproduces the §4 infrastructure experiment through the BSP cost model
@@ -13,25 +11,13 @@ import repro.sim.{BspCostModel, Infra}
   */
 class InfraBench extends SparkSpec {
 
-  private lazy val (metrics, bytes) = {
-    val edges = Datasets.edges(spark, "follow-dec", Experiments.metricDiv).cache()
-    val b = GraphOps.sizeOnDiskBytes(edges)
-    val m = Metrics.compute("follow-dec", edges, Partitioners.TwoD, Experiments.PaperFine)
-    edges.unpersist()
-    (m, b)
-  }
+  private lazy val (metrics, bytes) = Experiments.infraInputs(spark)
 
   private def estimate(infra: Infra): Double =
     BspCostModel.estimateSeconds(metrics, bytes, supersteps = 10, infra)
 
   test("print infra experiment: measured vs paper") {
-    val ii = estimate(Infra.ConfigII)
-    println(s"=== Infra experiment: PageRank on follow-dec @ ${Experiments.PaperFine} partitions ===")
-    for ((infra, paper) <- Seq((Infra.ConfigII, 0.0), (Infra.ConfigIII, 15.0), (Infra.ConfigIV, 20.0))) {
-      val t = estimate(infra)
-      println(f"${infra.name}%-20s ${t}%8.2f s  improvement " +
-        f"${BspCostModel.improvementPct(ii, t)}%5.1f%%  (paper: $paper%4.1f%%)")
-    }
+    Experiments.printInfra(metrics, bytes)
   }
 
   test("40Gbps network improves PageRank in the paper's regime (~15%)") {

@@ -13,14 +13,7 @@ class Table1Bench extends SparkSpec {
   private lazy val profiles = Experiments.table1(spark)
 
   test("print Table 1: measured vs paper") {
-    println(s"=== Table 1: dataset characterization (scale 1/${Experiments.metricDiv}) ===")
-    for ((spec, p) <- profiles) {
-      println("measured  " + p.tableRow)
-      println(f"paper     ${spec.name}%-14s ${spec.paperVertices}%9d ${spec.paperEdges}%10d " +
-        f"${spec.paperSymmPct}%6.2f ${spec.paperZeroInPct}%7.2f ${spec.paperZeroOutPct}%8.2f " +
-        f"${spec.paperTriangles}%12d ${spec.paperComponents}%10d " +
-        f"${spec.paperDiameter.map(_.toString).getOrElse("inf")}%8s ${spec.paperSizeBytes}%12d")
-    }
+    Experiments.printTable1(profiles)
     assert(profiles.size == 9)
   }
 

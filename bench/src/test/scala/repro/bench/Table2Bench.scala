@@ -20,9 +20,7 @@ class Table2Bench extends SparkSpec {
     rows.map(m => (m.dataset, m.partitioner) -> m).toMap
 
   test(s"print $tableName: metrics @ $numParts partitions") {
-    println(s"=== $tableName: partitioning metrics @ $numParts partitions " +
-      s"(scale 1/${Experiments.metricDiv}) ===")
-    rows.foreach(m => println(m.tableRow))
+    Experiments.printMetricsTable(tableName, numParts, rows)
     assert(rows.size == 9 * 6)
   }
 

@@ -3,15 +3,19 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.graph.{Datasets, GraphOps, GraphProfile}
 import repro.partition.{Metrics, PartitionMetrics, Partitioners}
+import repro.sim.{BspCostModel, Infra}
 
-/** Shared drivers behind the per-table jobs and benchmark suites, so the
-  * spark-submit entrypoints and `bench/test` exercise the same code.
+/** Shared drivers and printers behind `repro.jobs.Main` and the benchmark
+  * suites, so each paper result is computed and formatted by one code path.
+  * A printer takes results that were already computed and prints them line
+  * by line to standard output.
   *
   * Scale knobs (all env-overridable, see README):
-  *   - `REPRO_METRIC_DIV`  (default 100)  — Tables 1–3 run at 1/100 of the
-  *     paper's graph sizes with the paper's exact partition counts (128/256);
-  *   - `REPRO_TIMED_DIV`   (default 1000) — the timed correlation sweep runs
-  *     at 1/1000 scale;
+  *   - `REPRO_METRIC_DIV`  (default 100)  — Tables 1–3 and the infra
+  *     experiment run at 1/100 of the paper's graph sizes with the paper's
+  *     exact partition counts (128/256);
+  *   - `REPRO_TIMED_DIV`   (default 2000) — the timed correlation sweep and
+  *     the PARSEL picks run at 1/2000 scale;
   *   - `REPRO_COARSE`/`REPRO_FINE` (default 8/16) — partition counts for the
   *     timed sweep, the local[*] analogue of the paper's 128/256 on 128 cores.
   */
@@ -29,31 +33,64 @@ object Experiments {
   val PaperCoarse = 128
   val PaperFine   = 256
 
+  /** The SparkSession every entrypoint and test runs in. Broadcast joins are
+    * disabled so the metric aggregations always take the shuffle path.
+    */
+  def session(appName: String): SparkSession =
+    SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .config("spark.sql.shuffle.partitions",
+        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+
   // ---------------------------------------------------------------- Table 1
 
   /** Characterize every dataset analogue (Table 1). Pseudo-diameter is only
     * computed for the single-component social graphs, as in the paper all
     * multi-component datasets report ∞.
     */
-  def table1(spark: SparkSession, div: Int = metricDiv): Seq[(Datasets.Spec, GraphProfile)] =
+  def table1(spark: SparkSession): Seq[(Datasets.Spec, GraphProfile)] =
     Datasets.all.map { spec =>
-      val edges = Datasets.edges(spark, spec, div)
+      val edges = Datasets.edges(spark, spec, metricDiv)
       val profile = GraphOps.profile(spec.name, edges,
         numParts = fineParts, includeDiameter = spec.paperDiameter.isDefined)
       (spec, profile)
     }
+
+  /** Table 1: each measured profile above the paper's row for the dataset. */
+  def printTable1(rows: Seq[(Datasets.Spec, GraphProfile)]): Unit = {
+    println(s"=== Table 1: dataset characterization (scale 1/$metricDiv) ===")
+    println(f"${"Dataset"}%-14s ${"Vertices"}%9s ${"Edges"}%10s ${"Symm"}%6s ${"ZeroIn"}%7s " +
+      f"${"ZeroOut"}%8s ${"Triangles"}%12s ${"Conn.Comp."}%10s ${"Diam"}%8s ${"Size"}%12s")
+    for ((spec, p) <- rows) {
+      println("measured  " + p.tableRow)
+      println(f"paper     ${spec.name}%-14s ${spec.paperVertices}%9d ${spec.paperEdges}%10d " +
+        f"${spec.paperSymmPct}%6.2f ${spec.paperZeroInPct}%7.2f ${spec.paperZeroOutPct}%8.2f " +
+        f"${spec.paperTriangles}%12d ${spec.paperComponents}%10d " +
+        f"${spec.paperDiameter.map(_.toString).getOrElse("inf")}%8s ${spec.paperSizeBytes}%12d")
+    }
+  }
 
   // ------------------------------------------------------------ Tables 2, 3
 
   /** All five metrics for every (dataset, partitioner) at `numParts`
     * (Table 2 with 128 partitions, Table 3 with 256).
     */
-  def metricsTable(spark: SparkSession, numParts: Int, div: Int = metricDiv,
-      datasets: Seq[Datasets.Spec] = Datasets.all): Seq[PartitionMetrics] =
-    datasets.flatMap { spec =>
-      val edges = Datasets.edges(spark, spec, div)
+  def metricsTable(spark: SparkSession, numParts: Int): Seq[PartitionMetrics] =
+    Datasets.all.flatMap { spec =>
+      val edges = Datasets.edges(spark, spec, metricDiv)
       Metrics.computeAll(spec.name, edges, numParts)
     }
+
+  /** Table 2 or 3: one `PartitionMetrics.tableRow` per row. */
+  def printMetricsTable(title: String, numParts: Int, rows: Seq[PartitionMetrics]): Unit = {
+    println(s"=== $title: partitioning metrics @ $numParts partitions (scale 1/$metricDiv) ===")
+    println(f"${"Dataset"}%-14s ${"Part."}%-5s ${"Balance"}%7s ${"NonCut"}%12s ${"Cut"}%12s " +
+      f"${"CommCost"}%14s ${"PartStDev"}%14s")
+    rows.foreach(m => println(m.tableRow))
+  }
 
   // ------------------------------------------- Figures 3–6 as a table sweep
 
@@ -80,34 +117,27 @@ object Experiments {
       .map(Datasets.byName)
 
   /** Timed sweep of every (dataset × partitioner × granularity) for one
-    * algorithm. SSSP uses `numSources` deterministic landmarks per dataset,
-    * mirroring the paper's 5 random sources; the road networks are excluded
-    * for SSSP as in the paper (their SSSP runs did not complete). One untimed
-    * warmup run per dataset absorbs JIT/page-cache effects before the timed
-    * cells.
+    * algorithm at 1/`timedDiv` scale, coarse granularity first. SSSP runs
+    * from two deterministic landmarks per dataset, standing in for the
+    * paper's 5 random sources; the road networks are excluded for SSSP as in
+    * the paper (their SSSP runs did not complete). One untimed warmup run per
+    * dataset absorbs JIT/page-cache effects, then each cell is timed once.
     */
-  def timedSweep(
-      spark: SparkSession,
-      kind: Parsel.AlgoKind,
-      div: Int = timedDiv,
-      partsList: Seq[Int] = Seq(coarseParts, fineParts),
-      datasets: Seq[Datasets.Spec] = timedDatasets,
-      reps: Int = 1,
-      warmups: Int = 0,
-      numSources: Int = 2,
-      prIters: Int = 10): Seq[Cell] = {
+  def timedSweep(spark: SparkSession, kind: Parsel.AlgoKind): Seq[Cell] = {
+    val div = timedDiv
+    val partsList = Seq(coarseParts, fineParts)
     val selected = kind match {
-      case Parsel.SSSP => datasets.filterNot(_.name.startsWith("RoadNet"))
-      case _           => datasets
+      case Parsel.SSSP => timedDatasets.filterNot(_.name.startsWith("RoadNet"))
+      case _           => timedDatasets
     }
     selected.flatMap { spec =>
       val edges = Datasets.edges(spark, spec, div).cache()
       edges.count() // materialize outside the timed region
       val algo: Runner.Algo = kind match {
-        case Parsel.PR   => Runner.PageRank(prIters)
+        case Parsel.PR   => Runner.PageRank()
         case Parsel.CC   => Runner.ConnectedComponents()
         case Parsel.TR   => Runner.TriangleCount
-        case Parsel.SSSP => Runner.Sssp(Runner.sampleVertices(edges, numSources))
+        case Parsel.SSSP => Runner.Sssp(Runner.sampleVertices(edges, 2))
       }
       // Untimed per-dataset warmup: first-run JIT effects otherwise pollute
       // the first strategy's timing.
@@ -118,7 +148,7 @@ object Experiments {
         strategy <- Partitioners.all
       } yield {
         val run = Runner.timeRun(spec.name, edges, algo, strategy, parts,
-          reps = reps, warmups = warmups)
+          reps = 1, warmups = 0)
         val m = metricsCache.getOrElseUpdate((spec.name, div, strategy.name, parts),
           Metrics.compute(spec.name, edges, strategy, parts))
         Cell(run, m)
@@ -143,11 +173,91 @@ object Experiments {
       .groupBy(_.run.dataset)
       .map { case (d, cs) => d -> cs.minBy(_.run.millis).run.partitioner }
 
-  /** Median wall time per dataset at one granularity (for the granularity-
-    * effect comparison: coarse vs fine).
+  /** One algorithm's sweep: per granularity, the correlations of time with
+    * CommCost and Cut and the best partitioner per dataset, then every cell.
     */
-  def timeByDataset(cells: Seq[Cell], parts: Int): Map[String, Double] =
-    cells.filter(_.run.numPartitions == parts)
-      .groupBy(_.run.dataset)
-      .map { case (d, cs) => d -> cs.map(_.run.millis).min }
+  def printSweep(kind: Parsel.AlgoKind, cells: Seq[Cell]): Unit = {
+    val partsList = cells.map(_.run.numPartitions).distinct
+    println(s"=== ${kind.name} sweep (scale 1/$timedDiv, partitions ${partsList.mkString("/")}) ===")
+    for (parts <- partsList) {
+      val rComm = correlation(cells, parts, _.commCost)
+      val rCut  = correlation(cells, parts, _.cut)
+      println(f"  parts=$parts%3d  corr(time, CommCost)=${100 * rComm}%6.1f%%  " +
+        f"corr(time, Cut)=${100 * rCut}%6.1f%%")
+      bestPartitioner(cells, parts).toSeq.sorted
+        .foreach { case (d, p) => println(f"    best($d%-14s) = $p") }
+    }
+    cells.foreach(c => println(
+      f"  ${c.run.dataset}%-14s ${c.run.partitioner}%-5s parts=${c.run.numPartitions}%3d " +
+      f"${c.run.millis}%10.1f ms  commCost=${c.metrics.commCost}%10d  cut=${c.metrics.cut}%10d"))
+  }
+
+  // ------------------------------------------------ §4 infrastructure model
+
+  /** Inputs of the infrastructure experiment: the 2D metrics of follow-dec at
+    * 256 partitions and the size of its edge list on disk in bytes.
+    */
+  def infraInputs(spark: SparkSession): (PartitionMetrics, Long) = {
+    val edges = Datasets.edges(spark, "follow-dec", metricDiv).cache()
+    try {
+      val bytes = GraphOps.sizeOnDiskBytes(edges)
+      (Metrics.compute("follow-dec", edges, Partitioners.TwoD, PaperFine), bytes)
+    } finally edges.unpersist()
+  }
+
+  /** Estimated PageRank time (10 supersteps) under configs (ii), (iii) and
+    * (iv), with the improvement over (ii) next to the paper's 15 % and 20 %.
+    */
+  def printInfra(m: PartitionMetrics, bytes: Long): Unit = {
+    def estimate(infra: Infra) = BspCostModel.estimateSeconds(m, bytes, supersteps = 10, infra)
+    val base = estimate(Infra.ConfigII)
+    println(s"=== Infra experiment: PageRank on follow-dec @ ${m.numPartitions} partitions ===")
+    for ((infra, paperPct) <- Seq(Infra.ConfigII -> None, Infra.ConfigIII -> Some(15), Infra.ConfigIV -> Some(20))) {
+      val t = estimate(infra)
+      val versus = paperPct.fold("(baseline)")(p =>
+        f"improvement ${BspCostModel.improvementPct(base, t)}%5.1f%% (paper: ${p}%d%%)")
+      println(f"${infra.name.takeWhile(_ != ' ')}%-5s ${infra.name}%-18s $t%8.2f s  $versus")
+    }
+  }
+
+  // ------------------------------------------------------------------ PARSEL
+
+  /** PARSEL's choice for one (dataset, algorithm) pair. */
+  final case class ParselPick(dataset: String, kind: Parsel.AlgoKind, numParts: Int,
+      selection: Parsel.Selection)
+
+  /** PARSEL's partitioner and granularity for every (dataset, algorithm)
+    * pair at 1/`timedDiv` scale, from metrics alone.
+    */
+  def parselPicks(spark: SparkSession): Seq[ParselPick] = {
+    val div = timedDiv
+    val largest = Datasets.all.map(_.paperEdges / div).max
+    Datasets.all.flatMap { spec =>
+      val edges = Datasets.edges(spark, spec, div).cache()
+      val numEdges = edges.count()
+      try Parsel.algoKinds.map { kind =>
+        val parts = Parsel.granularity(kind, numEdges, largest, coarseParts, fineParts)
+        ParselPick(spec.name, kind, parts, Parsel.select(spec.name, edges, kind.algoClass, parts))
+      } finally edges.unpersist()
+    }
+  }
+
+  /** One line per pick: the chosen strategy, granularity and criterion value. */
+  def printParselPicks(picks: Seq[ParselPick]): Unit = {
+    println(s"=== PARSEL picks from metrics (scale 1/$timedDiv) ===")
+    for (ParselPick(dataset, kind, parts, sel) <- picks)
+      println(f"$dataset%-14s ${kind.name}%-20s -> ${sel.strategy.name}%-5s " +
+        f"@ $parts%3d partitions (criterion=${sel.scores(sel.strategy.name)})")
+  }
+
+  // ---------------------------------------------------------------- dispatch
+
+  /** Every paper result `repro.jobs.Main` computes and prints, by name. */
+  val experiments: Seq[(String, SparkSession => Unit)] = Seq(
+    "table1"      -> (s => printTable1(table1(s))),
+    "table2"      -> (s => printMetricsTable("Table 2", PaperCoarse, metricsTable(s, PaperCoarse))),
+    "table3"      -> (s => printMetricsTable("Table 3", PaperFine, metricsTable(s, PaperFine))),
+    "correlation" -> (s => Parsel.algoKinds.foreach(k => printSweep(k, timedSweep(s, k)))),
+    "infra"       -> { s => val (m, bytes) = infraInputs(s); printInfra(m, bytes) },
+    "parsel"      -> (s => printParselPicks(parselPicks(s))))
 }

@@ -2,6 +2,7 @@ package repro.partition
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** The five partitioning metrics of Tables 2/3 for one (graph, strategy,
   * numPartitions) combination. Semantics per the paper's Appendix A:
@@ -98,14 +99,15 @@ object Metrics {
     }
   }
 
-  /** Metrics for every strategy in `strategies` over one graph. */
+  /** Metrics for every strategy over one graph; caches `edges` unless the caller did. */
   def computeAll(
       dataset: String,
       edges: DataFrame,
       numParts: Int,
       strategies: Seq[Strategy] = Partitioners.all): Seq[PartitionMetrics] = {
-    val cached = edges.cache()
-    try strategies.map(s => compute(dataset, cached, s, numParts))
-    finally cached.unpersist()
+    val owned = edges.storageLevel == StorageLevel.NONE
+    if (owned) edges.cache()
+    try strategies.map(s => compute(dataset, edges, s, numParts))
+    finally if (owned) edges.unpersist()
   }
 }

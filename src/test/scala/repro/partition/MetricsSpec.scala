@@ -2,6 +2,7 @@ package repro.partition
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, Reference, SparkSpec}
 
 /** Metric-layer tests: hand-computed tiny graphs, naive in-memory reference
@@ -147,6 +148,17 @@ class MetricsSpec extends SparkSpec {
     val rows = Metrics.computeAll("rmat", rmatEdges, 8)
     assert(rows.map(_.partitioner) == Partitioners.all.map(_.name))
     assert(rows.map(_.numEdges).distinct.size == 1)
+  }
+
+  test("computeAll keeps the caller's cache and releases only its own") {
+    val cached = df(square).cache()
+    cached.count()
+    Metrics.computeAll("square", cached, 2)
+    assert(cached.storageLevel != StorageLevel.NONE)
+    cached.unpersist()
+    val uncached = df(square)
+    Metrics.computeAll("square", uncached, 2)
+    assert(uncached.storageLevel == StorageLevel.NONE)
   }
 
   test("tableRow formats all five metric columns") {
