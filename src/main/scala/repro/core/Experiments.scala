@@ -99,12 +99,12 @@ object Experiments {
     */
   final case class Cell(run: Runner.TimedRun, metrics: PartitionMetrics)
 
-  /** Metrics are a pure function of (dataset, div, strategy, parts); cache
-    * them across the four algorithm sweeps so each combination is computed
-    * once per JVM.
+  /** Metrics are a pure function of (dataset, div, parts); cache every
+    * strategy's row across the four algorithm sweeps so each combination is
+    * computed once per JVM.
     */
   private val metricsCache =
-    scala.collection.concurrent.TrieMap.empty[(String, Int, String, Int), PartitionMetrics]
+    scala.collection.concurrent.TrieMap.empty[(String, Int, Int), Seq[PartitionMetrics]]
 
   /** The timed-sweep dataset panel: one representative per structural family.
     * The paper sweeps all nine; the three road networks and the two follow
@@ -144,15 +144,11 @@ object Experiments {
       Runner.timeRun(spec.name, edges, algo, Partitioners.RVC, partsList.head,
         reps = 1, warmups = 0)
       val cells = for {
-        parts    <- partsList
-        strategy <- Partitioners.all
-      } yield {
-        val run = Runner.timeRun(spec.name, edges, algo, strategy, parts,
-          reps = 1, warmups = 0)
-        val m = metricsCache.getOrElseUpdate((spec.name, div, strategy.name, parts),
-          Metrics.compute(spec.name, edges, strategy, parts))
-        Cell(run, m)
-      }
+        parts         <- partsList
+        (strategy, m) <- Partitioners.all.zip(metricsCache.getOrElseUpdate(
+          (spec.name, div, parts), Metrics.computeAll(spec.name, edges, parts)))
+      } yield Cell(Runner.timeRun(spec.name, edges, algo, strategy, parts,
+        reps = 1, warmups = 0), m)
       edges.unpersist()
       cells
     }
@@ -227,7 +223,8 @@ object Experiments {
       selection: Parsel.Selection)
 
   /** PARSEL's partitioner and granularity for every (dataset, algorithm)
-    * pair at 1/`timedDiv` scale, from metrics alone.
+    * pair at 1/`timedDiv` scale, from metrics alone, computed once per
+    * (dataset, granularity).
     */
   def parselPicks(spark: SparkSession): Seq[ParselPick] = {
     val div = timedDiv
@@ -235,9 +232,14 @@ object Experiments {
     Datasets.all.flatMap { spec =>
       val edges = Datasets.edges(spark, spec, div).cache()
       val numEdges = edges.count()
-      try Parsel.algoKinds.map { kind =>
-        val parts = Parsel.granularity(kind, numEdges, largest, coarseParts, fineParts)
-        ParselPick(spec.name, kind, parts, Parsel.select(spec.name, edges, kind.algoClass, parts))
+      try {
+        val partsOf = Parsel.algoKinds.map(kind =>
+          kind -> Parsel.granularity(kind, numEdges, largest, coarseParts, fineParts))
+        val metrics = partsOf.map(_._2).distinct
+          .map(parts => parts -> Metrics.computeAll(spec.name, edges, parts)).toMap
+        partsOf.map { case (kind, parts) =>
+          ParselPick(spec.name, kind, parts, Parsel.selection(metrics(parts), kind.algoClass))
+        }
       } finally edges.unpersist()
     }
   }

@@ -65,12 +65,13 @@ object Parsel {
       numParts: Int,
       candidates: Seq[Strategy] = Partitioners.all): Selection = {
     require(candidates.nonEmpty, "need at least one candidate strategy")
-    val metrics = Metrics.computeAll(dataset, edges, numParts, candidates)
-    val best = metrics.zip(candidates).minBy { case (m, _) =>
-      (criterion(m, algoClass), m.balance)
-    }._2
-    Selection(best, algoClass, metrics)
+    selection(Metrics.computeAll(dataset, edges, numParts, candidates), algoClass)
   }
+
+  /** [[select]] over metrics computed already, one row per candidate. */
+  def selection(metrics: Seq[PartitionMetrics], algoClass: AlgoClass): Selection =
+    Selection(Partitioners.byName(selectFromMetrics(metrics, algoClass).partitioner),
+      algoClass, metrics)
 
   /** Choose among precomputed metrics (used when the sweep already ran). */
   def selectFromMetrics(metrics: Seq[PartitionMetrics], algoClass: AlgoClass): PartitionMetrics = {

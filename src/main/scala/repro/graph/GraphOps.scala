@@ -57,18 +57,15 @@ object GraphOps {
   }
 
   /** Percentage of vertices with no incoming edge (crawl-fringe "followers"). */
-  def zeroInPct(edges: DataFrame): Double = {
-    val v = numVertices(edges)
-    if (v == 0) 0.0
-    else 100.0 * (v - edges.select("dst").distinct().count()) / v
-  }
+  def zeroInPct(edges: DataFrame): Double = missingPct(edges, numVertices(edges), "dst")
 
   /** Percentage of vertices with no outgoing edge. */
-  def zeroOutPct(edges: DataFrame): Double = {
-    val v = numVertices(edges)
-    if (v == 0) 0.0
-    else 100.0 * (v - edges.select("src").distinct().count()) / v
-  }
+  def zeroOutPct(edges: DataFrame): Double = missingPct(edges, numVertices(edges), "src")
+
+  /** Percentage of the `vertices` vertices that never appear in column `side`. */
+  private def missingPct(edges: DataFrame, vertices: Long, side: String): Double =
+    if (vertices == 0) 0.0
+    else 100.0 * (vertices - edges.select(side).distinct().count()) / vertices
 
   /** In/out-degree per vertex (vertices missing a direction get 0) — the raw
     * data behind the paper's Figures 1 and 2.
@@ -100,25 +97,27 @@ object GraphOps {
     * infinite" distinction Table 1 draws. `None` when the graph has more
     * than one component.
     */
-  def pseudoDiameter(edges: DataFrame, graph: Graph[Int, Int]): Option[Int] = {
-    val components = ConnectedComponentsAlg.count(graph)
-    if (components != 1L) None
-    else {
-      val und = Graph.fromEdges(
-        graph.edges.flatMap(e =>
-          Iterator(org.apache.spark.graphx.Edge(e.srcId, e.dstId, 1),
-            org.apache.spark.graphx.Edge(e.dstId, e.srcId, 1))),
-        defaultValue = 1)
-      def farthest(from: VertexId): (VertexId, Int) =
-        ShortestPathsAlg.run(und, Seq(from))
-          .vertices
-          .map { case (vid, m) => (vid, m.getOrElse(from, 0)) }
-          .reduce((a, b) => if (a._2 >= b._2) a else b)
-      val start       = graph.vertices.map(_._1).first()
-      val (far, _)    = farthest(start)
-      val (_, radius) = farthest(far)
-      Some(radius)
-    }
+  def pseudoDiameter(edges: DataFrame, graph: Graph[Int, Int]): Option[Int] =
+    if (ConnectedComponentsAlg.count(graph) != 1L) None else Some(doubleSweep(graph))
+
+  /** The double BFS sweep of [[pseudoDiameter]] on a graph known to have a
+    * single component.
+    */
+  private def doubleSweep(graph: Graph[Int, Int]): Int = {
+    val und = Graph.fromEdges(
+      graph.edges.flatMap(e =>
+        Iterator(org.apache.spark.graphx.Edge(e.srcId, e.dstId, 1),
+          org.apache.spark.graphx.Edge(e.dstId, e.srcId, 1))),
+      defaultValue = 1)
+    def farthest(from: VertexId): (VertexId, Int) =
+      ShortestPathsAlg.run(und, Seq(from))
+        .vertices
+        .map { case (vid, m) => (vid, m.getOrElse(from, 0)) }
+        .reduce((a, b) => if (a._2 >= b._2) a else b)
+    val start       = graph.vertices.map(_._1).first()
+    val (far, _)    = farthest(start)
+    val (_, radius) = farthest(far)
+    radius
   }
 
   /** Full Table 1 characterization of one edge list. The GraphX-side measures
@@ -130,16 +129,18 @@ object GraphOps {
     val cached = edges.cache()
     try {
       val graph = GraphBuilder.partitioned(cached, Partitioners.RVC, numParts).cache()
+      val vertices = numVertices(cached)
+      val components = ConnectedComponentsAlg.count(graph)
       val p = GraphProfile(
         name = name,
-        vertices = numVertices(cached),
+        vertices = vertices,
         edges = cached.count(),
         symmPct = symmetryPct(cached),
-        zeroInPct = zeroInPct(cached),
-        zeroOutPct = zeroOutPct(cached),
+        zeroInPct = missingPct(cached, vertices, "dst"),
+        zeroOutPct = missingPct(cached, vertices, "src"),
         triangles = TriangleCountAlg.total(graph),
-        components = ConnectedComponentsAlg.count(graph),
-        diameter = if (includeDiameter) pseudoDiameter(cached, graph) else None,
+        components = components,
+        diameter = if (includeDiameter && components == 1L) Some(doubleSweep(graph)) else None,
         sizeBytes = sizeOnDiskBytes(cached))
       graph.unpersist(blocking = false)
       p

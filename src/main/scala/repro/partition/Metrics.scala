@@ -1,6 +1,6 @@
 package repro.partition
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 
@@ -34,10 +34,12 @@ final case class PartitionMetrics(
 
 /** DataFrame/Catalyst computation of the partitioning metrics.
   *
-  * Input edge lists are DataFrames with `src: Long, dst: Long` columns. The
-  * partition assignment is appended as a `pid` column via the strategy's
-  * Catalyst expression, which lets tests hand the *same assigned table* to the
-  * DuckDB oracle and re-derive every metric in portable SQL.
+  * Input edge lists are DataFrames with `src: Long, dst: Long` columns. All
+  * strategies are measured in one pass: [[assign]] tags every edge with each
+  * strategy's partition id, and two aggregations over that table give every
+  * strategy's partition sizes and replica counts. Tests hand the *same
+  * assigned table* to the DuckDB oracle and re-derive every metric in
+  * portable SQL.
   */
 object Metrics {
 
@@ -45,69 +47,76 @@ object Metrics {
   val Src = "src"
   val Dst = "dst"
 
-  /** Edge list with the strategy's partition id appended as `pid`. */
-  def withPid(edges: DataFrame, strategy: Strategy, numParts: Int): DataFrame =
-    edges.withColumn("pid", strategy.pidColumn(col(Src), col(Dst), numParts))
+  /** Every edge once per strategy, with columns `src, dst, s, pid`: `s` is the
+    * strategy's index in `strategies` and `pid` its partition of the edge.
+    * One projection computes all the pids, then an explode splits the rows.
+    */
+  def assign(edges: DataFrame, strategies: Seq[Strategy], numParts: Int): DataFrame =
+    edges.select(col(Src), col(Dst),
+      posexplode(array(strategies.map(_.pidColumn(col(Src), col(Dst), numParts)): _*))
+        .as(Seq("s", "pid")))
 
-  /** Per-partition edge counts for all `numParts` slots (empty slots → 0). */
-  def partitionSizes(assigned: DataFrame, numParts: Int): Array[Long] = {
-    val counted = assigned
-      .groupBy("pid")
-      .agg(count(lit(1)).as("n"))
-      .collect()
-      .map(r => r.getInt(0) -> r.getLong(1))
-      .toMap
-    Array.tabulate(numParts)(p => counted.getOrElse(p, 0L))
-  }
+  /** Edges per `(s, pid)`; a partition without edges has no row. */
+  def partitionSizes(assigned: DataFrame): DataFrame =
+    assigned.groupBy("s", "pid").agg(count(lit(1)).as("n"))
 
-  /** Vertex → number of distinct partitions holding a replica of it. */
-  def replicaCounts(assigned: DataFrame): DataFrame =
+  /** Per strategy `s`: the vertices held by one partition (`nonCut`) and by
+    * several (`cut`), the replicas of the cut vertices (`commCost`) and all
+    * vertices (`numVertices`). One shuffle by `(s, v)` serves both the
+    * distinct `(s, v, pid)` and the count per `(s, v)`; without it Spark
+    * shuffles by `(s, v, pid)` and then again by `(s, v)`.
+    */
+  def replicaSummary(assigned: DataFrame): DataFrame = {
+    val replicas = col("replicas")
     assigned
-      .select(col(Src).as("v"), col("pid"))
-      .union(assigned.select(col(Dst).as("v"), col("pid")))
+      .select(col("s"), col("pid"), explode(array(col(Src), col(Dst))).as("v"))
+      .repartition(col("s"), col("v"))
       .distinct()
-      .groupBy("v")
-      .agg(countDistinct("pid").as("replicas"))
+      .groupBy("s", "v")
+      .agg(count(lit(1)).as("replicas"))
+      .groupBy("s")
+      .agg(
+        sum(when(replicas === 1, 1L).otherwise(0L)).as("nonCut"),
+        sum(when(replicas > 1, 1L).otherwise(0L)).as("cut"),
+        sum(when(replicas > 1, replicas).otherwise(0L)).as("commCost"),
+        count(lit(1)).as("numVertices"))
+  }
 
   /** All five metrics for one (graph, strategy, numParts) combination. */
   def compute(
       dataset: String,
       edges: DataFrame,
       strategy: Strategy,
-      numParts: Int): PartitionMetrics = {
-    require(numParts > 0, s"numParts must be positive, got $numParts")
-    val assigned = withPid(edges, strategy, numParts).cache()
-    try {
-      val sizes     = partitionSizes(assigned, numParts)
-      val numEdges  = sizes.sum
-      val mean      = numEdges.toDouble / numParts
-      val balance   = if (numEdges == 0) 1.0 else sizes.max / mean
-      val partStDev = math.sqrt(sizes.map(s => (s - mean) * (s - mean)).sum / numParts)
+      numParts: Int): PartitionMetrics =
+    computeAll(dataset, edges, numParts, Seq(strategy)).head
 
-      val Row(nonCut: Long, cutV: Long, commCost: Long, numVertices: Long) = replicaCounts(assigned)
-        .agg(
-          sum(when(col("replicas") === 1, 1L).otherwise(0L)).as("nonCut"),
-          sum(when(col("replicas") > 1, 1L).otherwise(0L)).as("cut"),
-          coalesce(sum(when(col("replicas") > 1, col("replicas"))), lit(0L)).as("commCost"),
-          count(lit(1)).as("numVertices"))
-        .head()
-
-      PartitionMetrics(dataset, strategy.name, numParts, numEdges, numVertices,
-        balance, nonCut, cutV, commCost, partStDev)
-    } finally {
-      assigned.unpersist()
-    }
-  }
-
-  /** Metrics for every strategy over one graph; caches `edges` unless the caller did. */
+  /** Metrics for every strategy over one graph, in the order of `strategies`;
+    * caches `edges` unless the caller did.
+    */
   def computeAll(
       dataset: String,
       edges: DataFrame,
       numParts: Int,
       strategies: Seq[Strategy] = Partitioners.all): Seq[PartitionMetrics] = {
+    require(numParts > 0, s"numParts must be positive, got $numParts")
     val owned = edges.storageLevel == StorageLevel.NONE
     if (owned) edges.cache()
-    try strategies.map(s => compute(dataset, edges, s, numParts))
-    finally if (owned) edges.unpersist()
+    try {
+      val assigned = assign(edges, strategies, numParts)
+      val sizes = partitionSizes(assigned).collect()
+        .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
+      val replicas = replicaSummary(assigned).collect()
+        .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2), r.getLong(3), r.getLong(4)))).toMap
+      strategies.zipWithIndex.map { case (strategy, s) =>
+        val parts     = Array.tabulate(numParts)(p => sizes.getOrElse((s, p), 0L))
+        val numEdges  = parts.sum
+        val mean      = numEdges.toDouble / numParts
+        val balance   = if (numEdges == 0) 1.0 else parts.max / mean
+        val partStDev = math.sqrt(parts.map(n => (n - mean) * (n - mean)).sum / numParts)
+        val (nonCut, cut, commCost, numVertices) = replicas.getOrElse(s, (0L, 0L, 0L, 0L))
+        PartitionMetrics(dataset, strategy.name, numParts, numEdges, numVertices,
+          balance, nonCut, cut, commCost, partStDev)
+      }
+    } finally if (owned) edges.unpersist()
   }
 }

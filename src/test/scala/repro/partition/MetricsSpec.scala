@@ -1,7 +1,7 @@
 package repro.partition
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, Reference, SparkSpec}
 
@@ -53,68 +53,92 @@ class MetricsSpec extends SparkSpec {
       Metrics.compute("x", df(square), Partitioners.RVC, 0))
   }
 
-  test("withPid appends the strategy's assignment") {
-    val assigned = Metrics.withPid(df(square), Partitioners.DC, 3).collect()
-    assigned.foreach { r =>
-      assert(r.getInt(2) == Partitioners.DC.pid(r.getLong(0), r.getLong(1), 3))
+  test("an empty edge list gives one zero row per strategy") {
+    val empty = df(Seq.empty)
+    val rows  = Metrics.computeAll("empty", empty, 4)
+    assert(rows.map(_.partitioner) == Partitioners.all.map(_.name))
+    for (m <- rows :+ Metrics.compute("empty", empty, Partitioners.SC, 4)) {
+      assert(m.numEdges == 0 && m.numVertices == 0)
+      assert(m.nonCut == 0 && m.cut == 0 && m.commCost == 0)
+      assert(m.balance == 1.0 && m.partStDev == 0.0)
     }
   }
 
-  test("partitionSizes pads empty partitions with zero") {
-    val assigned = Metrics.withPid(df(Seq((0L, 1L))), Partitioners.SC, 5)
-    assert(Metrics.partitionSizes(assigned, 5).toSeq == Seq(1L, 0L, 0L, 0L, 0L))
+  test("assign tags every edge with each strategy's index and pid") {
+    val strategies = Seq(Partitioners.DC, Partitioners.TwoD)
+    val assigned   = Metrics.assign(df(square), strategies, 3)
+    assert(assigned.columns.toSeq == Seq("src", "dst", "s", "pid"))
+    val rows = assigned.collect()
+    assert(rows.map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).toSet ==
+      (for ((a, b) <- square; s <- strategies.indices) yield (a, b, s)).toSet)
+    assert(rows.length == square.size * strategies.size)
+    rows.foreach { r =>
+      assert(r.getInt(3) == strategies(r.getInt(2)).pid(r.getLong(0), r.getLong(1), 3))
+    }
   }
 
   // --- agreement with the naive in-memory reference, all six strategies ---
 
   private val sample = Reference.randomEdges(numVertices = 60, numEdges = 200, seed = 21)
 
+  private def assertMatchesReference(m: PartitionMetrics, s: Strategy, n: Int): Unit = {
+    val assigned = sample.map { case (a, b) => (a, b, s.pid(a, b, n)) }
+    val (balance, nonCut, cut, commCost, stdev) = Reference.metrics(assigned, n)
+    assert(m.numEdges == sample.size)
+    assert(m.numVertices == Reference.vertices(sample).size)
+    assert(math.abs(m.balance - balance) < 1e-9)
+    assert(m.nonCut == nonCut)
+    assert(m.cut == cut)
+    assert(m.commCost == commCost)
+    assert(math.abs(m.partStDev - stdev) < 1e-9)
+  }
+
   for (s <- Partitioners.all; n <- Seq(3, 8, 16)) {
     test(s"${s.name} @ $n partitions matches the in-memory reference metrics") {
-      val m = Metrics.compute("sample", df(sample), s, n)
-      val assigned = sample.map { case (a, b) => (a, b, s.pid(a, b, n)) }
-      val (balance, nonCut, cut, commCost, stdev) = Reference.metrics(assigned, n)
-      assert(math.abs(m.balance - balance) < 1e-9)
-      assert(m.nonCut == nonCut)
-      assert(m.cut == cut)
-      assert(m.commCost == commCost)
-      assert(math.abs(m.partStDev - stdev) < 1e-9)
+      assertMatchesReference(Metrics.compute("sample", df(sample), s, n), s, n)
+    }
+  }
+
+  test("one computeAll call matches the in-memory reference for every strategy") {
+    for (n <- Seq(3, 8, 16)) {
+      val rows = Metrics.computeAll("sample", df(sample), n)
+      assert(rows.map(_.partitioner) == Partitioners.all.map(_.name))
+      Partitioners.all.zip(rows).foreach { case (s, m) => assertMatchesReference(m, s, n) }
     }
   }
 
   // --- DuckDB oracle equivalence of the Catalyst metric queries ---
+  // The oracle reads the table computeAll aggregates, with all six strategies
+  // in it; each test compares one strategy's rows of the production query.
 
-  private val replicaSql =
-    """SELECT
-      |  sum(CASE WHEN replicas = 1 THEN 1 ELSE 0 END) AS noncut,
+  private lazy val assigned = Metrics.assign(df(sample), Partitioners.all, 8).cache()
+
+  private def replicaSql(s: Int) =
+    s"""SELECT s,
+      |  sum(CASE WHEN replicas = 1 THEN 1 ELSE 0 END) AS nonCut,
       |  sum(CASE WHEN replicas > 1 THEN 1 ELSE 0 END) AS cut,
-      |  sum(CASE WHEN replicas > 1 THEN replicas ELSE 0 END) AS commcost
+      |  sum(CASE WHEN replicas > 1 THEN replicas ELSE 0 END) AS commCost,
+      |  count(*) AS numVertices
       |FROM (
-      |  SELECT v, count(DISTINCT pid) AS replicas
-      |  FROM (SELECT src AS v, pid FROM assigned
-      |        UNION SELECT dst AS v, pid FROM assigned) endpoints
-      |  GROUP BY v
-      |) r""".stripMargin
+      |  SELECT s, v, count(DISTINCT pid) AS replicas
+      |  FROM (SELECT s, src AS v, pid FROM assigned
+      |        UNION SELECT s, dst AS v, pid FROM assigned) endpoints
+      |  GROUP BY s, v
+      |) r
+      |WHERE s = '$s'
+      |GROUP BY s""".stripMargin
 
-  for (s <- Partitioners.all) {
-    test(s"${s.name}: replica metrics agree with DuckDB over the same assignment") {
-      val assigned = Metrics.withPid(df(sample), s, 8).cache()
-      val sparkSide = Metrics.replicaCounts(assigned).agg(
-        sum(when(col("replicas") === 1, 1L).otherwise(0L)).as("noncut"),
-        sum(when(col("replicas") > 1, 1L).otherwise(0L)).as("cut"),
-        coalesce(sum(when(col("replicas") > 1, col("replicas"))), lit(0L)).as("commcost"))
-      Oracle.assertEquivalent(sparkSide, replicaSql, "assigned" -> assigned)
-      assigned.unpersist()
+  for ((strategy, s) <- Partitioners.all.zipWithIndex) {
+    test(s"${strategy.name}: replica metrics agree with DuckDB over the same assignment") {
+      Oracle.assertEquivalent(Metrics.replicaSummary(assigned).where(col("s") === s),
+        replicaSql(s), "assigned" -> assigned)
     }
 
-    test(s"${s.name}: per-partition sizes agree with DuckDB over the same assignment") {
-      val assigned  = Metrics.withPid(df(sample), s, 8).cache()
-      val sparkSide = assigned.groupBy("pid").agg(count(lit(1)).as("n"))
+    test(s"${strategy.name}: per-partition sizes agree with DuckDB over the same assignment") {
       Oracle.assertEquivalent(
-        sparkSide,
-        "SELECT pid, count(*) AS n FROM assigned GROUP BY pid",
+        Metrics.partitionSizes(assigned).where(col("s") === s),
+        s"SELECT s, pid, count(*) AS n FROM assigned WHERE s = '$s' GROUP BY s, pid",
         "assigned" -> assigned)
-      assigned.unpersist()
     }
   }
 
