@@ -53,9 +53,15 @@ object TriangleCountAlg {
       },
       _ + _)
 
+    // `counters` carry the canonical graph's vertex index. Re-indexing them on
+    // the input graph's own index lets the join below zip partitions instead
+    // of looking every vertex up; both vertex sets share one hash
+    // partitioner, so this adds no shuffle.
+    val reindexed = graph.vertices.aggregateUsingIndex[Int](counters, _ + _)
+
     // Each triangle at a vertex was counted once per incident triangle edge
     // pair — i.e. twice (once per adjacent triangle edge).
-    graph.outerJoinVertices(counters) { (_, _, c) => c.getOrElse(0) / 2 }
+    graph.outerJoinVertices(reindexed) { (_, _, c) => c.getOrElse(0) / 2 }
   }
 
   /** Total number of distinct triangles in the graph. */

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import repro.partition.{Metrics, PartitionMetrics, Partitioners, Strategy}
+import repro.partition.{PartitionMetrics, Partitioners, Strategy}
 
 /** The paper's partitioning selector (named PARSEL in the published version):
   * tailor the partitioning strategy and granularity to the computation and
@@ -54,21 +53,10 @@ object Parsel {
       metrics.map(m => m.partitioner -> criterion(m, algoClass)).toMap
   }
 
-  /** Choose the best strategy for `algoClass` on `edges` at `numParts` by
-    * computing the metrics for every candidate and minimizing the class's
-    * criterion (ties broken by better balance, then by candidate order).
+  /** The best strategy for `algoClass` among `metrics`, one row per
+    * candidate: the one minimizing the class's criterion (ties broken by
+    * better balance, then by candidate order).
     */
-  def select(
-      dataset: String,
-      edges: DataFrame,
-      algoClass: AlgoClass,
-      numParts: Int,
-      candidates: Seq[Strategy] = Partitioners.all): Selection = {
-    require(candidates.nonEmpty, "need at least one candidate strategy")
-    selection(Metrics.computeAll(dataset, edges, numParts, candidates), algoClass)
-  }
-
-  /** [[select]] over metrics computed already, one row per candidate. */
   def selection(metrics: Seq[PartitionMetrics], algoClass: AlgoClass): Selection =
     Selection(Partitioners.byName(selectFromMetrics(metrics, algoClass).partitioner),
       algoClass, metrics)

@@ -70,31 +70,22 @@ object Runner {
       numPartitions: Int,
       millis: Double)
 
-  /** Median wall time over `reps` timed repetitions after `warmups` untimed
-    * ones. Partitioning happens inside the timed region — partitioning cost
-    * is part of what the paper compares — but graph construction input is
-    * pre-cached by the caller.
+  /** Wall time of one run. Partitioning happens inside the timed region —
+    * partitioning cost is part of what the paper compares — but graph
+    * construction input is pre-cached by the caller.
     */
   def timeRun(
       dataset: String,
       edges: DataFrame,
       algo: Algo,
       strategy: Strategy,
-      numParts: Int,
-      reps: Int = 2,
-      warmups: Int = 1): TimedRun = {
-    require(reps >= 1)
-    def once(): Double = {
-      val graph = GraphBuilder.partitioned(edges, strategy, numParts).cache()
-      val start = System.nanoTime()
-      algo.execute(graph)
-      val elapsed = (System.nanoTime() - start) / 1e6
-      graph.unpersist(blocking = false)
-      elapsed
-    }
-    (0 until warmups).foreach(_ => once())
-    val times = (0 until reps).map(_ => once()).sorted
-    TimedRun(dataset, algo.name, strategy.name, numParts, times(times.size / 2))
+      numParts: Int): TimedRun = {
+    val graph = GraphBuilder.partitioned(edges, strategy, numParts).cache()
+    val start = System.nanoTime()
+    algo.execute(graph)
+    val millis = (System.nanoTime() - start) / 1e6
+    graph.unpersist(blocking = false)
+    TimedRun(dataset, algo.name, strategy.name, numParts, millis)
   }
 
   /** Pearson correlation coefficient — the statistic behind Figures 3–6. */

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** The nine datasets of Table 1, as synthetic analogues at a configurable
   * scale divisor (`div = 100` → 1/100 of the paper's vertex/edge counts, used
-  * for the metric tables; `div = 1000` for timed runs).
+  * for the metric tables; `REPRO_TIMED_DIV`, default 2000, for timed runs).
   *
   * Each [[Spec]] carries the paper's reported characterization (the "paper"
   * columns of EXPERIMENTS.md) plus the generator recipe that reproduces its

@@ -30,8 +30,8 @@ final case class GraphProfile(
 
 /** Dataset characterization over the DataFrame edge-list representation; the
   * structural measures (triangles, components, diameter) reuse the from-
-  * scratch GraphX algorithms so Table 1 exercises the same code the
-  * evaluation benchmarks do.
+  * scratch GraphX algorithms so Table 1 exercises the same code the timed
+  * sweeps do.
   */
 object GraphOps {
 
@@ -91,17 +91,10 @@ object GraphOps {
       .head()
       .getLong(0)
 
-  /** Pseudo-diameter by double BFS sweep on the *undirected* graph: hop
-    * eccentricity of the vertex farthest from an arbitrary start. Exact on
-    * trees, a tight lower bound in general — adequate for the "short vs
-    * infinite" distinction Table 1 draws. `None` when the graph has more
-    * than one component.
-    */
-  def pseudoDiameter(edges: DataFrame, graph: Graph[Int, Int]): Option[Int] =
-    if (ConnectedComponentsAlg.count(graph) != 1L) None else Some(doubleSweep(graph))
-
-  /** The double BFS sweep of [[pseudoDiameter]] on a graph known to have a
-    * single component.
+  /** Pseudo-diameter by double BFS sweep on the *undirected* view of a graph
+    * known to have a single component: hop eccentricity of the vertex
+    * farthest from an arbitrary start. Exact on trees, a tight lower bound in
+    * general — adequate for the "short vs infinite" distinction Table 1 draws.
     */
   private def doubleSweep(graph: Graph[Int, Int]): Int = {
     val und = Graph.fromEdges(
@@ -122,7 +115,8 @@ object GraphOps {
 
   /** Full Table 1 characterization of one edge list. The GraphX-side measures
     * run on an RVC-partitioned graph (partitioner choice cannot change the
-    * results — asserted in tests).
+    * results — asserted in tests). The diameter is `None` (the paper's ∞)
+    * when the graph has more than one component or `includeDiameter` is off.
     */
   def profile(name: String, edges: DataFrame, numParts: Int = 16,
       includeDiameter: Boolean = true): GraphProfile = {

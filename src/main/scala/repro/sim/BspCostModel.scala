@@ -29,7 +29,7 @@ object Infra {
   * PageRank-like sweep on the follow-dec analogue (~2 M edges at 1/100
   * scale), the communication term at 1 Gbps and the storage term on HDD carry
   * roughly the shares the paper's measured 15 % / 20 % improvements imply
-  * (see InfraBench / EXPERIMENTS.md).
+  * (see `Experiments.infraChecks` and EXPERIMENTS.md).
   *
   * `secsPerEdge` is deliberately far above a raw CPU edge-op: it amortizes
   * the per-task scheduling/serialization overhead of a BSP superstep over the

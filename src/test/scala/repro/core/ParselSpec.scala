@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.graph.Datasets
 import repro.partition.{Metrics, PartitionMetrics, Partitioners}
 
 /** Selector tests: criterion choice, argmin behaviour, tie-breaking, and the
@@ -48,10 +49,10 @@ class ParselSpec extends SparkSpec {
   }
 
   test("select end-to-end equals manual metric argmin") {
-    val edges = repro.graph.SynthGraphs.rmat(spark, scale = 9, numEdges = 2000, seed = 81).cache()
-    val sel   = Parsel.select("rmat", edges, Parsel.EdgeBound, numParts = 16)
-    val manual = Metrics.computeAll("rmat", edges, 16)
-      .minBy(m => (m.commCost, m.balance))
+    val edges   = repro.graph.SynthGraphs.rmat(spark, scale = 9, numEdges = 2000, seed = 81).cache()
+    val metrics = Metrics.computeAll("rmat", edges, 16)
+    val sel     = Parsel.selection(metrics, Parsel.EdgeBound)
+    val manual  = metrics.minBy(m => (m.commCost, m.balance))
     assert(sel.strategy.name == manual.partitioner)
     assert(sel.metrics.size == Partitioners.all.size)
     assert(sel.scores.values.min == manual.commCost)
@@ -61,7 +62,7 @@ class ParselSpec extends SparkSpec {
   test("select restricted to a candidate subset stays inside it") {
     val edges      = repro.graph.SynthGraphs.rmat(spark, scale = 8, numEdges = 500, seed = 82)
     val candidates = Seq(Partitioners.SC, Partitioners.DC)
-    val sel        = Parsel.select("rmat", edges, Parsel.VertexBound, 8, candidates)
+    val sel = Parsel.selection(Metrics.computeAll("rmat", edges, 8, candidates), Parsel.VertexBound)
     assert(candidates.contains(sel.strategy))
   }
 
@@ -81,5 +82,15 @@ class ParselSpec extends SparkSpec {
     assert(Parsel.granularity(Parsel.CC, largest, largest, 128, 256) == 256)
     assert(Parsel.granularity(Parsel.CC, largest / 2, largest, 128, 256) == 256)
     assert(Parsel.granularity(Parsel.CC, largest / 100, largest, 128, 256) == 128)
+  }
+
+  test("granularity heuristic separates algorithms as the paper found") {
+    val largest = Datasets.all.map(_.paperEdges).max
+    val follow  = Datasets.byName("follow-dec").paperEdges
+    val road    = Datasets.byName("RoadNet-PA").paperEdges
+    assert(Parsel.granularity(Parsel.PR, follow, largest, 128, 256) == 128)
+    assert(Parsel.granularity(Parsel.TR, follow, largest, 128, 256) == 256)
+    assert(Parsel.granularity(Parsel.CC, follow, largest, 128, 256) == 256)
+    assert(Parsel.granularity(Parsel.CC, road, largest, 128, 256) == 128)
   }
 }

@@ -47,8 +47,7 @@ class RunnerSpec extends SparkSpec {
   }
 
   test("timeRun: returns a positive measurement with correct labels") {
-    val run = Runner.timeRun("rmat", edges, Runner.PageRank(iters = 2),
-      Partitioners.RVC, 4, reps = 1, warmups = 0)
+    val run = Runner.timeRun("rmat", edges, Runner.PageRank(iters = 2), Partitioners.RVC, 4)
     assert(run.millis > 0)
     assert(run.dataset == "rmat")
     assert(run.algorithm == "PageRank")
@@ -60,8 +59,7 @@ class RunnerSpec extends SparkSpec {
     val sources = Runner.sampleVertices(edges, 2)
     for (algo <- Seq[Runner.Algo](Runner.PageRank(2), Runner.ConnectedComponents(),
         Runner.TriangleCount, Runner.Sssp(sources))) {
-      val run = Runner.timeRun("rmat", edges, algo, Partitioners.TwoD, 4,
-        reps = 1, warmups = 0)
+      val run = Runner.timeRun("rmat", edges, algo, Partitioners.TwoD, 4)
       assert(run.millis > 0, algo.name)
     }
   }

@@ -3,8 +3,6 @@ package repro.graph
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.algorithms.GraphBuilder
-import repro.partition.Partitioners
 
 /** Characterization-op tests against hand-counted graphs and DuckDB SQL. */
 class GraphOpsSpec extends SparkSpec {
@@ -92,21 +90,21 @@ class GraphOpsSpec extends SparkSpec {
     assert(GraphOps.sizeOnDiskBytes(df(Seq.empty[(Long, Long)])) == 0)
   }
 
-  private def graphOf(edges: Seq[(Long, Long)]) =
-    GraphBuilder.partitioned(df(edges), Partitioners.RVC, 4)
+  private def diameterOf(edges: Seq[(Long, Long)]) =
+    GraphOps.profile("g", df(edges), numParts = 4).diameter
 
   test("pseudoDiameter: symmetric path of 6 vertices has diameter 5") {
     val path = (0L until 5L).flatMap(i => Seq((i, i + 1), (i + 1, i)))
-    assert(GraphOps.pseudoDiameter(df(path), graphOf(path)) == Some(5))
+    assert(diameterOf(path) == Some(5))
   }
 
   test("pseudoDiameter: multi-component graph reports None (paper's ∞)") {
     val twoComponents = Seq((0L, 1L), (1L, 0L), (5L, 6L), (6L, 5L))
-    assert(GraphOps.pseudoDiameter(df(twoComponents), graphOf(twoComponents)).isEmpty)
+    assert(diameterOf(twoComponents).isEmpty)
   }
 
   test("pseudoDiameter: works on directed single-component graphs via undirected view") {
-    assert(GraphOps.pseudoDiameter(df(directedChain), graphOf(directedChain)) == Some(3))
+    assert(diameterOf(directedChain) == Some(3))
   }
 
   test("profile: full characterization of the diamond graph") {
