@@ -1,67 +1,132 @@
 package repro.algorithms
 
+import java.util.Arrays
 import org.apache.spark.graphx._
 import scala.reflect.ClassTag
 
 /** Triangle counting from scratch, with the same semantics as GraphX's
-  * `lib.TriangleCount` baseline: the graph is canonicalized (self-loops
-  * dropped, each undirected edge kept once as src < dst), every vertex
-  * gathers its neighbour set, and each edge contributes the size of the
-  * endpoints' set intersection. Per-vertex counts halve the edge sums; the
-  * global count divides by 3 (each triangle is seen at its three corners).
+  * `lib.TriangleCount` baseline: edges are read as an undirected simple graph
+  * (self-loops dropped, each vertex pair counted once whatever the number and
+  * direction of its edges), every vertex gathers its neighbour set, and each
+  * undirected edge contributes the size of its endpoints' set intersection.
+  * Per-vertex counts halve the edge sums; the global count divides by 3 (each
+  * triangle is seen at its three corners).
+  *
+  * The count runs on the input graph's own edge partitions: there is no
+  * canonical rebuild, so the strategy under test shapes every shuffle of the
+  * count. Precondition: every copy of a directed edge `(src, dst)` sits in one
+  * edge partition. `Graph.partitionBy` guarantees it, since every strategy is
+  * a function of `(src, dst)`, and so does [[GraphBuilder.partitioned]] (the
+  * same precondition as `graphx.lib.TriangleCount.runPreCanonicalized`'s
+  * canonical edges). The count then takes two `aggregateMessages` supersteps:
+  *   1. Duplicate copies are merged within each partition, and every
+  *      non-loop edge sends each endpoint the other's ID. A vertex sorts what
+  *      it receives into distinct neighbour IDs; an ID received twice marks a
+  *      reciprocated pair (edges in both directions).
+  *   2. Each undirected pair is counted by one of its edges: `(s, d)` when
+  *      `s < d`, and `(s, d)` with `s > d` only when `(d, s)` is absent. That
+  *      edge credits both endpoints with the sorted-merge intersection of
+  *      their neighbour lists.
   *
   * This is the paper's "vertex-state-heavy" representative: the neighbour
-  * sets are per-vertex state proportional to degree, which is why the Cut
-  * metric — not CommCost — predicts its runtime.
+  * lists are per-vertex state proportional to degree, shipped to every edge
+  * partition that holds a replica of the vertex, which is why the Cut metric,
+  * not CommCost, predicts its runtime.
   */
 object TriangleCountAlg {
 
-  /** Per-vertex triangle counts. */
+  /** A vertex's neighbours as sorted, distinct IDs, with bit `k` of
+    * `reciprocatedBits` set when the vertex has edges both to and from
+    * `ids(k)`.
+    */
+  private final class Neighbours(val ids: Array[Long], val reciprocatedBits: Array[Long])
+      extends Serializable {
+
+    /** Whether edges run both ways between this vertex and `id`. */
+    def reciprocated(id: Long): Boolean = {
+      val k = Arrays.binarySearch(ids, id)
+      k >= 0 && (reciprocatedBits(k >>> 6) & (1L << (k & 63))) != 0
+    }
+  }
+
+  private val noNeighbours = new Neighbours(Array.emptyLongArray, Array.emptyLongArray)
+
+  /** Neighbours from the IDs a vertex received: each neighbour once per
+    * direction of its edges with the vertex.
+    */
+  private def neighbours(received: Array[Long]): Neighbours = {
+    val sorted = received.clone()
+    Arrays.sort(sorted)
+    val ids  = new Array[Long](sorted.length)
+    val bits = new Array[Long]((sorted.length + 63) / 64)
+    var i = 0
+    var n = 0
+    while (i < sorted.length) {
+      ids(n) = sorted(i)
+      if (i + 1 < sorted.length && sorted(i + 1) == sorted(i)) {
+        bits(n >>> 6) |= 1L << (n & 63)
+        i += 2
+      } else i += 1
+      n += 1
+    }
+    new Neighbours(Arrays.copyOf(ids, n), Arrays.copyOf(bits, (n + 63) / 64))
+  }
+
+  /** Size of the intersection of two sorted, distinct ID arrays, by a merge. */
+  private def commonCount(a: Array[Long], b: Array[Long]): Int = {
+    var count = 0
+    var i = 0
+    var j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) < b(j)) i += 1
+      else if (a(i) > b(j)) j += 1
+      else { count += 1; i += 1; j += 1 }
+    }
+    count
+  }
+
+  /** The graph the count runs on: the input's edge partitions with duplicate
+    * copies of each directed edge merged in place, without a shuffle.
+    */
+  private[algorithms] def deduplicated[VD: ClassTag, ED: ClassTag](
+      graph: Graph[VD, ED]): Graph[VD, ED] =
+    graph.groupEdges((a, _) => a)
+
+  /** Per-vertex triangle counts; see the precondition above. */
   def run[VD: ClassTag, ED: ClassTag](graph: Graph[VD, ED]): Graph[Int, ED] = {
-    // Canonicalize: undirected simple graph with src < dst per edge.
-    val canonical = Graph(
-      graph.vertices.mapValues(_ => 0),
-      graph.edges
-        .map(e =>
-          if (e.srcId < e.dstId) (e.srcId, e.dstId) else (e.dstId, e.srcId))
-        .filter { case (s, d) => s != d }
-        .distinct()
-        .map { case (s, d) => Edge(s, d, 0) })
+    val simple = deduplicated(graph)
 
-    // Each vertex gathers the IDs of all canonical neighbours.
-    val neighbourSets: VertexRDD[Set[VertexId]] =
-      canonical.aggregateMessages[Set[VertexId]](
-        ctx => {
-          ctx.sendToSrc(Set(ctx.dstId))
-          ctx.sendToDst(Set(ctx.srcId))
+    val received: VertexRDD[Array[Long]] = simple.aggregateMessages[Array[Long]](
+      ctx =>
+        if (ctx.srcId != ctx.dstId) {
+          ctx.sendToSrc(Array(ctx.dstId))
+          ctx.sendToDst(Array(ctx.srcId))
         },
-        _ ++ _)
+      _ ++ _,
+      TripletFields.None)
 
-    val withSets = canonical.outerJoinVertices(neighbourSets) {
-      (_, _, s) => s.getOrElse(Set.empty[VertexId])
+    val withNeighbours = simple.outerJoinVertices(received) {
+      (_, _, ids) => ids.fold(noNeighbours)(neighbours)
     }
 
-    // Each edge counts common neighbours of its endpoints and credits both.
-    val counters: VertexRDD[Int] = withSets.aggregateMessages[Int](
+    val counters: VertexRDD[Int] = withNeighbours.aggregateMessages[Int](
       ctx => {
-        val (small, large) =
-          if (ctx.srcAttr.size <= ctx.dstAttr.size) (ctx.srcAttr, ctx.dstAttr)
-          else (ctx.dstAttr, ctx.srcAttr)
-        val common = small.count(large.contains)
-        ctx.sendToSrc(common)
-        ctx.sendToDst(common)
+        val s = ctx.srcId
+        val d = ctx.dstId
+        if (s < d || (s > d && !ctx.srcAttr.reciprocated(d))) {
+          val common = commonCount(ctx.srcAttr.ids, ctx.dstAttr.ids)
+          if (common > 0) {
+            ctx.sendToSrc(common)
+            ctx.sendToDst(common)
+          }
+        }
       },
       _ + _)
 
-    // `counters` carry the canonical graph's vertex index. Re-indexing them on
-    // the input graph's own index lets the join below zip partitions instead
-    // of looking every vertex up; both vertex sets share one hash
-    // partitioner, so this adds no shuffle.
-    val reindexed = graph.vertices.aggregateUsingIndex[Int](counters, _ + _)
-
-    // Each triangle at a vertex was counted once per incident triangle edge
-    // pair — i.e. twice (once per adjacent triangle edge).
-    graph.outerJoinVertices(reindexed) { (_, _, c) => c.getOrElse(0) / 2 }
+    // `counters` carry `graph.vertices`' own index (neither superstep changes
+    // it), so this join zips partitions. Each triangle at a vertex was
+    // credited by both of its edges at that vertex.
+    graph.outerJoinVertices(counters) { (_, _, c) => c.getOrElse(0) / 2 }
   }
 
   /** Total number of distinct triangles in the graph. */

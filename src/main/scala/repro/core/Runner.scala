@@ -84,7 +84,8 @@ object Runner {
     val start = System.nanoTime()
     algo.execute(graph)
     val millis = (System.nanoTime() - start) / 1e6
-    graph.unpersist(blocking = false)
+    // Untimed, and blocking for the reason given in `GraphOps.profile`.
+    graph.unpersist(blocking = true)
     TimedRun(dataset, algo.name, strategy.name, numParts, millis)
   }
 

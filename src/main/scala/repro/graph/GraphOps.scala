@@ -136,8 +136,11 @@ object GraphOps {
         components = components,
         diameter = if (includeDiameter && components == 1L) Some(doubleSweep(graph)) else None,
         sizeBytes = sizeOnDiskBytes(cached))
-      graph.unpersist(blocking = false)
+      // Blocking, like the unpersist below: an asynchronous removal can race
+      // the ContextCleaner's removal of the same blocks, which logs "Asked to
+      // remove block …, which does not exist". Neither call is timed.
+      graph.unpersist(blocking = true)
       p
-    } finally cached.unpersist()
+    } finally cached.unpersist(blocking = true)
   }
 }

@@ -133,6 +133,84 @@ class AlgorithmsSpec extends SparkSpec {
     assert(TriangleCountAlg.total(graphOf(chain)) == 0)
   }
 
+  // The count runs on each strategy's own edge layout, so each input below is
+  // checked under all six strategies at three partition counts. The GraphX
+  // baseline does not depend on the layout (it rebuilds its canonical edges),
+  // so it is checked once per input, against the same reference.
+  private def checkTriangles(edges: Seq[(Long, Long)]): Unit = {
+    val ref = Reference.trianglesPerVertex(edges)
+    val baseline = gxlib.TriangleCount.run(graphOf(edges)).vertices.collectAsMap()
+    assert(baseline == ref, "graphx.lib baseline")
+    for (s <- Partitioners.all; parts <- Seq(3, 8, 16)) {
+      val ours = TriangleCountAlg.run(GraphBuilder.partitioned(df(edges), s, parts))
+        .vertices.collectAsMap()
+      assert(ours == ref, s"${s.name} at $parts partitions")
+    }
+  }
+
+  // A random graph with some edges reversed (reciprocated pairs), some
+  // repeated and a few self-loops, before any relabelling.
+  private val awkward: Seq[(Long, Long)] = {
+    val base = Reference.randomEdges(numVertices = 24, numEdges = 90, seed = 67)
+    base ++ base.zipWithIndex.collect {
+      case ((a, b), i) if i % 3 == 0 => (b, a)
+      case (e, i) if i % 5 == 1      => e
+    } ++ base.take(4) ++ Seq((3L, 3L), (5L, 5L), (5L, 5L))
+  }
+
+  test("TriangleCount: duplicate directed edges count once, under every strategy") {
+    val dups = Reference.randomEdges(numVertices = 24, numEdges = 90, seed = 68)
+    checkTriangles(dups ++ dups.take(40) ++ dups.take(10))
+  }
+
+  test("TriangleCount: reciprocated pairs split across partitions count once") {
+    val split = awkward.filter { case (a, b) => awkward.contains((b, a)) && a < b }
+      .count { case (a, b) =>
+        Partitioners.RVC.pid(a, b, 8) != Partitioners.RVC.pid(b, a, 8) &&
+          Partitioners.TwoD.pid(a, b, 8) != Partitioners.TwoD.pid(b, a, 8)
+      }
+    assert(split > 0, "no reciprocated pair is split under both RVC and 2D")
+    checkTriangles(awkward)
+  }
+
+  test("TriangleCount: self-loops add no triangles") {
+    val loops = awkward.map(_._1).distinct.take(6).map(v => (v, v))
+    checkTriangles(awkward ++ loops ++ loops)
+  }
+
+  test("TriangleCount: negative IDs and IDs near Long.MaxValue") {
+    val relabel: Long => Long = v => (v % 3) match {
+      case 0 => -1L - v * 7919L
+      case 1 => Long.MaxValue - v
+      case _ => Long.MinValue + 1 + v
+    }
+    checkTriangles(awkward.map { case (a, b) => (relabel(a), relabel(b)) })
+  }
+
+  test("TriangleCount: a hub with many leaves (very unequal neighbour lists)") {
+    val hub    = -7L
+    val leaves = (1L to 200L)
+    val spokes = leaves.map(l => (hub, l)) ++ leaves.filter(_ % 4 == 0).map(l => (l, hub))
+    val rim    = leaves.filter(_ % 2 == 0).map(l => (l, l + 1)) ++
+      leaves.filter(_ % 10 == 0).map(l => (l + 1, l + 3))
+    checkTriangles(spokes ++ rim)
+  }
+
+  test("TriangleCount: the counting graph keeps the strategy's edge layout") {
+    val withCopies = sample ++ sample.take(50)
+    for (s <- Partitioners.all) {
+      val g = TriangleCountAlg.deduplicated(GraphBuilder.partitioned(df(withCopies), s, 8))
+      val placed = g.edges
+        .mapPartitionsWithIndex((pid, iter) => iter.map(e => (pid, e.srcId, e.dstId)))
+        .collect()
+      placed.foreach { case (pid, src, dst) =>
+        assert(pid == s.pid(src, dst, 8), s"${s.name}: edge ($src,$dst) on wrong partition")
+      }
+      assert(placed.map(p => (p._2, p._3)).sorted.toSeq == sample.sorted,
+        s"${s.name}: not one copy per directed edge")
+    }
+  }
+
   // --- SSSP ---
 
   test("SSSP matches the BFS reference") {

@@ -111,6 +111,22 @@ class PartitionersSpec extends AnyFunSuite {
     assert(pids == (0 until 128) ++ (0 until 128))
   }
 
+  // MixingPrime is odd, so for n = 2^k the low k bits of src * MixingPrime
+  // depend only on src mod n; below 8192, src * MixingPrime stays under 2^63,
+  // so `abs` never flips its sign. 1D is then SC with its partitions
+  // relabelled, which is why the triangle sweep times 1D and SC on identical
+  // CommCost, Cut and Balance.
+  test("1D is SC relabelled for power-of-two partition counts and sources below 8192") {
+    assert(8191L * Partitioners.MixingPrime > 0L)
+    for (n <- Seq(8, 16, 128, 256)) {
+      val pairs = (0L until 8192L).map(src =>
+        Partitioners.SC.pid(src, 0L, n) -> Partitioners.OneD.pid(src, 0L, n)).distinct
+      assert(pairs.map(_._1).distinct.size == pairs.size, s"SC -> 1D is not a function at n=$n")
+      assert(pairs.map(_._1).sorted == (0 until n), s"SC pids do not cover [0, $n)")
+      assert(pairs.map(_._2).sorted == (0 until n), s"1D pids are not a permutation of [0, $n)")
+    }
+  }
+
   for (n <- Seq(4, 16, 64, 256)) {
     test(s"2D replication bound: a vertex touches at most 2*sqrt($n) partitions") {
       val bound = 2 * math.ceil(math.sqrt(n)).toInt
