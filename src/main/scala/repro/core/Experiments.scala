@@ -218,17 +218,11 @@ object Experiments {
 
   // ------------------------------------------- Figures 3–6 as a table sweep
 
-  /** Everything measured for one sweep cell: wall time plus the metrics the
-    * paper correlates against it.
+  /** One timed sweep cell: the metrics the paper correlates against wall
+    * time, which also name its dataset, partitioner and granularity, and the
+    * time in milliseconds.
     */
-  final case class Cell(run: Runner.TimedRun, metrics: PartitionMetrics)
-
-  /** Metrics are a pure function of (dataset, div, parts); cache every
-    * strategy's row across the four algorithm sweeps so each combination is
-    * computed once per JVM.
-    */
-  private val metricsCache =
-    scala.collection.concurrent.TrieMap.empty[(String, Int, Int), Seq[PartitionMetrics]]
+  final case class Cell(metrics: PartitionMetrics, millis: Double)
 
   /** The timed-sweep dataset panel: one representative per structural family.
     * The paper sweeps all nine; the three road networks and the two follow
@@ -240,59 +234,61 @@ object Experiments {
     Seq("RoadNet-PA", "YouTube", "Pocek", "Orkut", "socLiveJournal", "follow-dec")
       .map(Datasets.byName)
 
-  /** The datasets one algorithm's sweep times. The road networks are
-    * excluded for SSSP as in the paper (their SSSP runs did not complete).
+  /** Whether `kind` is timed on `spec`: the road networks are excluded for
+    * SSSP as in the paper (their SSSP runs did not complete).
     */
-  def sweepDatasets(kind: Parsel.AlgoKind): Seq[Datasets.Spec] = kind match {
-    case Parsel.SSSP => timedDatasets.filterNot(_.name.startsWith("RoadNet"))
-    case _           => timedDatasets
-  }
+  private def timedOn(kind: Parsel.AlgoKind, spec: Datasets.Spec): Boolean =
+    kind != Parsel.SSSP || !spec.name.startsWith("RoadNet")
 
-  /** Timed sweep of every (dataset × partitioner × granularity) for one
-    * algorithm at 1/`timedDiv` scale, coarse granularity first. SSSP runs
-    * from two deterministic landmarks per dataset, standing in for the
-    * paper's 5 random sources. One untimed warmup run per dataset absorbs
-    * JIT/page-cache effects, then each cell is timed once.
+  /** The datasets of `timedDatasets` one algorithm's sweep times. */
+  def sweepDatasets(kind: Parsel.AlgoKind): Seq[Datasets.Spec] =
+    timedDatasets.filter(timedOn(kind, _))
+
+  /** Timed sweep of every (dataset × partitioner × granularity) for each of
+    * the four algorithms at 1/`div` scale, coarse granularity first; the
+    * cells per algorithm, in `Parsel.algoKinds` order. Each dataset is
+    * generated once, and its metrics are computed once per granularity.
+    * SSSP runs from two deterministic landmarks per dataset, standing in for
+    * the paper's 5 random sources. For each algorithm, one untimed warm-up
+    * run per dataset absorbs JIT/page-cache effects, then each cell is timed
+    * once.
     */
-  def timedSweep(spark: SparkSession, kind: Parsel.AlgoKind): Seq[Cell] = {
-    val div = timedDiv
+  def timedSweeps(spark: SparkSession, datasets: Seq[Datasets.Spec],
+      div: Int): Seq[(Parsel.AlgoKind, Seq[Cell])] = {
     val partsList = Seq(coarseParts, fineParts)
-    sweepDatasets(kind).flatMap { spec =>
+    val perDataset = datasets.map { spec =>
       val edges = Datasets.edges(spark, spec, div).cache()
-      edges.count() // materialize outside the timed region
-      val algo: Runner.Algo = kind match {
-        case Parsel.PR   => Runner.PageRank()
-        case Parsel.CC   => Runner.ConnectedComponents()
-        case Parsel.TR   => Runner.TriangleCount
-        case Parsel.SSSP => Runner.Sssp(Runner.sampleVertices(edges, 2))
-      }
-      // Untimed per-dataset warmup: first-run JIT effects otherwise pollute
-      // the first strategy's timing.
-      Runner.timeRun(spec.name, edges, algo, Partitioners.RVC, partsList.head)
-      val cells = for {
-        parts         <- partsList
-        (strategy, m) <- Partitioners.all.zip(metricsCache.getOrElseUpdate(
-          (spec.name, div, parts), Metrics.computeAll(spec.name, edges, parts)))
-      } yield Cell(Runner.timeRun(spec.name, edges, algo, strategy, parts), m)
-      edges.unpersist()
-      cells
+      try {
+        edges.count() // materialize outside the timed region
+        val kinds = Parsel.algoKinds.filter(timedOn(_, spec))
+        val landmarks = if (kinds.contains(Parsel.SSSP)) Runner.sampleVertices(edges, 2) else Nil
+        val rows = partsList.flatMap(parts =>
+          Partitioners.all.zip(Metrics.computeAll(spec.name, edges, parts)))
+        kinds.map { kind =>
+          Runner.timeRun(edges, kind, Partitioners.RVC, partsList.head, landmarks)
+          kind -> rows.map { case (strategy, m) =>
+            Cell(m, Runner.timeRun(edges, kind, strategy, m.numPartitions, landmarks))
+          }
+        }.toMap
+      } finally edges.unpersist(blocking = true)
     }
+    Parsel.algoKinds.map(kind => kind -> perDataset.flatMap(_.getOrElse(kind, Nil)))
   }
 
   /** Pearson correlation of wall time against a metric over all cells of one
     * granularity — the number each of Figures 3–6 reports.
     */
   def correlation(cells: Seq[Cell], parts: Int, metric: PartitionMetrics => Long): Double = {
-    val subset = cells.filter(_.run.numPartitions == parts)
+    val subset = cells.filter(_.metrics.numPartitions == parts)
     Runner.pearson(subset.map(c => metric(c.metrics).toDouble),
-      subset.map(_.run.millis))
+      subset.map(_.millis))
   }
 
   /** Best (fastest) partitioner per dataset at one granularity. */
   def bestPartitioner(cells: Seq[Cell], parts: Int): Map[String, String] =
-    cells.filter(_.run.numPartitions == parts)
-      .groupBy(_.run.dataset)
-      .map { case (d, cs) => d -> cs.minBy(_.run.millis).run.partitioner }
+    cells.filter(_.metrics.numPartitions == parts)
+      .groupBy(_.metrics.dataset)
+      .map { case (d, cs) => d -> cs.minBy(_.millis).metrics.partitioner }
 
   /** PARSEL's pick per dataset at one granularity, chosen from the cells' own
     * metrics, with its regret: how much slower the pick's cell ran than the
@@ -300,12 +296,12 @@ object Experiments {
     */
   def parselRegret(cells: Seq[Cell], parts: Int,
       algoClass: Parsel.AlgoClass): Map[String, (String, Double)] =
-    cells.filter(_.run.numPartitions == parts)
-      .groupBy(_.run.dataset)
+    cells.filter(_.metrics.numPartitions == parts)
+      .groupBy(_.metrics.dataset)
       .map { case (d, cs) =>
         val pick = Parsel.selectFromMetrics(cs.map(_.metrics), algoClass).partitioner
-        val fastest = cs.map(_.run.millis).min
-        d -> (pick, cs.find(_.run.partitioner == pick).get.run.millis / fastest - 1)
+        val fastest = cs.map(_.millis).min
+        d -> (pick, cs.find(_.metrics.partitioner == pick).get.millis / fastest - 1)
       }
 
   /** One algorithm's sweep: per granularity, the correlations of time with
@@ -313,7 +309,7 @@ object Experiments {
     * pick and its regret; then every cell.
     */
   def printSweep(kind: Parsel.AlgoKind, cells: Seq[Cell]): Unit = {
-    val partsList = cells.map(_.run.numPartitions).distinct
+    val partsList = cells.map(_.metrics.numPartitions).distinct
     println(s"=== ${kind.name} sweep (scale 1/$timedDiv, partitions ${partsList.mkString("/")}) ===")
     for (parts <- partsList) {
       val rComm = correlation(cells, parts, _.commCost)
@@ -327,8 +323,8 @@ object Experiments {
       }
     }
     cells.foreach(c => println(
-      f"  ${c.run.dataset}%-14s ${c.run.partitioner}%-5s parts=${c.run.numPartitions}%3d " +
-      f"${c.run.millis}%10.1f ms  commCost=${c.metrics.commCost}%10d  cut=${c.metrics.cut}%10d"))
+      f"  ${c.metrics.dataset}%-14s ${c.metrics.partitioner}%-5s parts=${c.metrics.numPartitions}%3d " +
+      f"${c.millis}%10.1f ms  commCost=${c.metrics.commCost}%10d  cut=${c.metrics.cut}%10d"))
   }
 
   /** The metric the paper finds predicts an algorithm's time (Figures 3–6:
@@ -360,7 +356,7 @@ object Experiments {
     val partsList = Seq(coarseParts, fineParts)
     val expected = for (spec <- sweepDatasets(kind); s <- Partitioners.all; parts <- partsList)
       yield (spec.name, s.name, parts)
-    val timed = cells.map(c => (c.run.dataset, c.run.partitioner, c.run.numPartitions)).toSet
+    val timed = cells.map(c => (c.metrics.dataset, c.metrics.partitioner, c.metrics.numPartitions)).toSet
     val regrets =
       if (kind != Parsel.PR) Nil
       else {
@@ -370,8 +366,7 @@ object Experiments {
     val meanRegret = regrets.map(_._3).sum / math.max(1, regrets.size)
     check(cells.size == expected.size, s"${kind.name}: ${cells.size} cells, expected ${expected.size}") ++
     expected.filterNot(timed).map { case (d, s, parts) => s"${kind.name}: $d/$s @ $parts: no cell" } ++
-    cells.flatMap(c => check(c.run.millis > 0,
-      s"${kind.name}: ${c.run.dataset}/${c.run.partitioner} @ ${c.run.numPartitions}: time ${c.run.millis} ms")) ++
+    cells.flatMap(c => check(c.millis > 0, s"${kind.name}: ${at(c.metrics)}: time ${c.millis} ms")) ++
     partsList.flatMap { parts =>
       val r = correlation(cells, parts, metric)
       check(r > minR, f"${kind.name} @ $parts: corr(time, $metricName) = ${100 * r}%.1f%% " +
@@ -451,9 +446,10 @@ object Experiments {
 
   // ------------------------------------------------------------------ PARSEL
 
-  /** PARSEL's choice for one (dataset, algorithm) pair. */
-  final case class ParselPick(dataset: String, kind: Parsel.AlgoKind, numParts: Int,
-      selection: Parsel.Selection)
+  /** PARSEL's choice for one (dataset, algorithm) pair: the picked metric
+    * row, which names the dataset, the partitioner and the granularity.
+    */
+  final case class ParselPick(kind: Parsel.AlgoKind, pick: PartitionMetrics)
 
   /** PARSEL's partitioner and granularity for every (dataset, algorithm)
     * pair at 1/`timedDiv` scale, from metrics alone, computed once per
@@ -471,7 +467,7 @@ object Experiments {
         val metrics = partsOf.map(_._2).distinct
           .map(parts => parts -> Metrics.computeAll(spec.name, edges, parts)).toMap
         partsOf.map { case (kind, parts) =>
-          ParselPick(spec.name, kind, parts, Parsel.selection(metrics(parts), kind.algoClass))
+          ParselPick(kind, Parsel.selectFromMetrics(metrics(parts), kind.algoClass))
         }
       } finally edges.unpersist()
     }
@@ -480,9 +476,9 @@ object Experiments {
   /** One line per pick: the chosen strategy, granularity and criterion value. */
   def printParselPicks(picks: Seq[ParselPick]): Unit = {
     println(s"=== PARSEL picks from metrics (scale 1/$timedDiv) ===")
-    for (ParselPick(dataset, kind, parts, sel) <- picks)
-      println(f"$dataset%-14s ${kind.name}%-20s -> ${sel.strategy.name}%-5s " +
-        f"@ $parts%3d partitions (criterion=${sel.scores(sel.strategy.name)})")
+    for (ParselPick(kind, m) <- picks)
+      println(f"${m.dataset}%-14s ${kind.name}%-20s -> ${m.partitioner}%-5s " +
+        f"@ ${m.numPartitions}%3d partitions (criterion=${Parsel.criterion(m, kind.algoClass)})")
   }
 
   // ---------------------------------------------------------------- dispatch
@@ -499,8 +495,7 @@ object Experiments {
       metricsChecks(PaperCoarse, coarse) ++ metricsChecks(PaperFine, fine) ++
         crossTableChecks(coarse, fine)
     },
-    "correlation" -> (s => Parsel.algoKinds.flatMap { k =>
-      val cells = timedSweep(s, k)
+    "correlation" -> (s => timedSweeps(s, timedDatasets, timedDiv).flatMap { case (k, cells) =>
       printSweep(k, cells)
       sweepChecks(k, cells)
     }),

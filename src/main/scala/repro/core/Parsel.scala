@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.partition.{PartitionMetrics, Partitioners, Strategy}
+import repro.partition.PartitionMetrics
 
 /** The paper's partitioning selector (named PARSEL in the published version):
   * tailor the partitioning strategy and granularity to the computation and
@@ -44,24 +44,10 @@ object Parsel {
     case VertexBound => m.cut
   }
 
-  /** Result of a selection: the winning strategy plus the evidence. */
-  final case class Selection(
-      strategy: Strategy,
-      algoClass: AlgoClass,
-      metrics: Seq[PartitionMetrics]) {
-    def scores: Map[String, Long] =
-      metrics.map(m => m.partitioner -> criterion(m, algoClass)).toMap
-  }
-
-  /** The best strategy for `algoClass` among `metrics`, one row per
-    * candidate: the one minimizing the class's criterion (ties broken by
+  /** The best row for `algoClass` among `metrics`, one row per candidate
+    * strategy: the one minimizing the class's criterion (ties broken by
     * better balance, then by candidate order).
     */
-  def selection(metrics: Seq[PartitionMetrics], algoClass: AlgoClass): Selection =
-    Selection(Partitioners.byName(selectFromMetrics(metrics, algoClass).partitioner),
-      algoClass, metrics)
-
-  /** Choose among precomputed metrics (used when the sweep already ran). */
   def selectFromMetrics(metrics: Seq[PartitionMetrics], algoClass: AlgoClass): PartitionMetrics = {
     require(metrics.nonEmpty, "need at least one metric row")
     metrics.minBy(m => (criterion(m, algoClass), m.balance))

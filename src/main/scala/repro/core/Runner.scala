@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.graphx.{Graph, VertexId}
+import org.apache.spark.graphx.VertexId
 import org.apache.spark.sql.DataFrame
 import repro.algorithms._
-import repro.partition.{Partitioners, Strategy}
+import repro.partition.Strategy
 
 /** Timing harness for the evaluation sweeps: run one of the four algorithms
   * over a graph partitioned by one of the six strategies and report wall
@@ -11,38 +11,10 @@ import repro.partition.{Partitioners, Strategy}
   */
 object Runner {
 
-  /** An executable, materializing algorithm instance. */
-  sealed abstract class Algo(val kind: Parsel.AlgoKind) {
-    def name: String = kind.name
-
-    /** Run to completion; the return value forces evaluation. */
-    def execute(graph: Graph[Int, Int]): Long
-  }
-
-  final case class PageRank(iters: Int = 10) extends Algo(Parsel.PR) {
-    def execute(graph: Graph[Int, Int]): Long =
-      PageRankAlg.run(graph, iters).vertices.count()
-  }
-
-  /** The paper runs CC "for 10 iterations" like PageRank, not to fixpoint. */
-  final case class ConnectedComponents(maxIters: Int = 10) extends Algo(Parsel.CC) {
-    def execute(graph: Graph[Int, Int]): Long =
-      ConnectedComponentsAlg.run(graph, maxIterations = maxIters).vertices.count()
-  }
-
-  case object TriangleCount extends Algo(Parsel.TR) {
-    def execute(graph: Graph[Int, Int]): Long =
-      TriangleCountAlg.total(graph)
-  }
-
-  /** SSSP from `numSources` deterministic pseudo-random landmarks (the paper
-    * averages over 5 random source vertices); each source is a separate run,
-    * as in the paper.
+  /** Supersteps of PageRank and of CC: the paper runs CC "for 10 iterations"
+    * like PageRank, not to fixpoint.
     */
-  final case class Sssp(sources: Seq[VertexId]) extends Algo(Parsel.SSSP) {
-    def execute(graph: Graph[Int, Int]): Long =
-      sources.map(s => ShortestPathsAlg.run(graph, Seq(s)).vertices.count()).sum
-  }
+  private val Supersteps = 10
 
   /** Deterministic "random" vertex sample: the `n` vertices minimizing a
     * mixed hash of their ID — stable across runs and partitioners. The
@@ -62,31 +34,31 @@ object Runner {
       .toSeq
   }
 
-  /** One timed measurement. */
-  final case class TimedRun(
-      dataset: String,
-      algorithm: String,
-      partitioner: String,
-      numPartitions: Int,
-      millis: Double)
-
-  /** Wall time of one run. Partitioning happens inside the timed region —
-    * partitioning cost is part of what the paper compares — but graph
-    * construction input is pre-cached by the caller.
+  /** Wall time in milliseconds of one run of `kind`. Partitioning happens
+    * inside the timed region — partitioning cost is part of what the paper
+    * compares — but graph construction input is pre-cached by the caller.
+    * SSSP runs once from each of `landmarks`, as the paper averages over
+    * random sources; the other algorithms ignore them.
     */
   def timeRun(
-      dataset: String,
       edges: DataFrame,
-      algo: Algo,
+      kind: Parsel.AlgoKind,
       strategy: Strategy,
-      numParts: Int): TimedRun = {
+      numParts: Int,
+      landmarks: Seq[VertexId]): Double = {
     val graph = GraphBuilder.partitioned(edges, strategy, numParts).cache()
     val start = System.nanoTime()
-    algo.execute(graph)
+    // Each result forces evaluation.
+    kind match {
+      case Parsel.PR   => PageRankAlg.run(graph, Supersteps).vertices.count()
+      case Parsel.CC   => ConnectedComponentsAlg.run(graph, maxIterations = Supersteps).vertices.count()
+      case Parsel.TR   => TriangleCountAlg.total(graph)
+      case Parsel.SSSP => landmarks.map(s => ShortestPathsAlg.run(graph, Seq(s)).vertices.count()).sum
+    }
     val millis = (System.nanoTime() - start) / 1e6
     // Untimed, and blocking for the reason given in `GraphOps.profile`.
     graph.unpersist(blocking = true)
-    TimedRun(dataset, algo.name, strategy.name, numParts, millis)
+    millis
   }
 
   /** Pearson correlation coefficient — the statistic behind Figures 3–6. */

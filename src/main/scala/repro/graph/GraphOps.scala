@@ -35,13 +35,6 @@ final case class GraphProfile(
   */
 object GraphOps {
 
-  /** Distinct vertices appearing as an endpoint. */
-  def numVertices(edges: DataFrame): Long =
-    edges.select(col("src").as("v"))
-      .union(edges.select(col("dst").as("v")))
-      .distinct()
-      .count()
-
   /** Percentage of edges whose reverse edge is also present. Undirected
     * graphs stored as both directions measure 100 by construction.
     */
@@ -56,19 +49,9 @@ object GraphOps {
     }
   }
 
-  /** Percentage of vertices with no incoming edge (crawl-fringe "followers"). */
-  def zeroInPct(edges: DataFrame): Double = missingPct(edges, numVertices(edges), "dst")
-
-  /** Percentage of vertices with no outgoing edge. */
-  def zeroOutPct(edges: DataFrame): Double = missingPct(edges, numVertices(edges), "src")
-
-  /** Percentage of the `vertices` vertices that never appear in column `side`. */
-  private def missingPct(edges: DataFrame, vertices: Long, side: String): Double =
-    if (vertices == 0) 0.0
-    else 100.0 * (vertices - edges.select(side).distinct().count()) / vertices
-
   /** In/out-degree per vertex (vertices missing a direction get 0) — the raw
-    * data behind the paper's Figures 1 and 2.
+    * data behind the paper's Figures 1 and 2, and Table 1's vertex count,
+    * ZeroIn% and ZeroOut%.
     */
   def degrees(edges: DataFrame): DataFrame = {
     val out = edges.groupBy(col("src").as("v")).agg(count(lit(1)).as("outDeg"))
@@ -123,15 +106,19 @@ object GraphOps {
     val cached = edges.cache()
     try {
       val graph = GraphBuilder.partitioned(cached, Partitioners.RVC, numParts).cache()
-      val vertices = numVertices(cached)
+      val counts = degrees(cached)
+        .agg(count(lit(1)), count(when(col("inDeg") === 0, 1)), count(when(col("outDeg") === 0, 1)))
+        .head()
+      val vertices = counts.getLong(0)
+      def pct(n: Long) = if (vertices == 0) 0.0 else 100.0 * n / vertices
       val components = ConnectedComponentsAlg.count(graph)
       val p = GraphProfile(
         name = name,
         vertices = vertices,
         edges = cached.count(),
         symmPct = symmetryPct(cached),
-        zeroInPct = missingPct(cached, vertices, "dst"),
-        zeroOutPct = missingPct(cached, vertices, "src"),
+        zeroInPct = pct(counts.getLong(1)),
+        zeroOutPct = pct(counts.getLong(2)),
         triangles = TriangleCountAlg.total(graph),
         components = components,
         diameter = if (includeDiameter && components == 1L) Some(doubleSweep(graph)) else None,

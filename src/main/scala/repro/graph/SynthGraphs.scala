@@ -7,8 +7,14 @@ import org.apache.spark.sql.types.LongType
 /** Deterministic synthetic graph generators standing in for the paper's
   * datasets (SNAP graphs + the authors' proprietary Twitter crawl), which are
   * unavailable offline. Every generator returns a simple directed edge list
-  * `DataFrame(src: Long, dst: Long)` — no self-loops, no duplicate edges —
-  * and is a pure function of its parameters and seed.
+  * `DataFrame(src: Long, dst: Long)` — no self-loops, no duplicate edges.
+  * Its edges are deterministic only for a fixed `local[*]` core count: they
+  * depend on its parameters, its seed and the session's default parallelism,
+  * because `rand(seed)` is seeded per partition and `spark.range` splits
+  * into `defaultParallelism` slices. At div 2000, YouTube has 1292 edges
+  * under `local[2]` and 1312 under `local[4]`. `partialSymmetrize` draws
+  * after a `distinct`, so its output also depends on
+  * `spark.sql.shuffle.partitions`.
   *
   * The generators target the structural properties the paper's analysis keys
   * on: degree skew (RMAT), edge symmetry percentage (partial symmetrization),

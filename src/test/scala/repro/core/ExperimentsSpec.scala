@@ -18,9 +18,7 @@ class ExperimentsSpec extends AnyFunSuite {
 
   private def cell(dataset: String, partitioner: String, parts: Int, millis: Double,
       commCost: Long, cut: Long): Experiments.Cell =
-    Experiments.Cell(
-      Runner.TimedRun(dataset, "PageRank", partitioner, parts, millis),
-      metrics(dataset, partitioner, parts, commCost, cut))
+    Experiments.Cell(metrics(dataset, partitioner, parts, commCost, cut), millis)
 
   private val coarse = Experiments.coarseParts
   private val fine   = Experiments.fineParts
@@ -89,8 +87,8 @@ class ExperimentsSpec extends AnyFunSuite {
     val cellLines = lines.takeRight(cells.size)
     assert(lines.size == 1 + 2 * 3 + cells.size)
     for ((line, c) <- cellLines.zip(cells)) {
-      assert(line.contains(c.run.dataset) && line.contains(c.run.partitioner))
-      assert(line.contains(f"${c.run.millis}%10.1f ms") && line.contains(f"commCost=${c.metrics.commCost}%10d"))
+      assert(line.contains(c.metrics.dataset) && line.contains(c.metrics.partitioner))
+      assert(line.contains(f"${c.millis}%10.1f ms") && line.contains(f"commCost=${c.metrics.commCost}%10d"))
     }
   }
 
@@ -112,8 +110,8 @@ class ExperimentsSpec extends AnyFunSuite {
       metrics("A", "RVC", 8, commCost = 90, cut = 9),
       metrics("A", "2D", 8, commCost = 40, cut = 12))
     val picks = Seq(
-      Experiments.ParselPick("A", Parsel.PR, 8, Parsel.Selection(Partitioners.TwoD, Parsel.EdgeBound, rows)),
-      Experiments.ParselPick("A", Parsel.TR, 16, Parsel.Selection(Partitioners.RVC, Parsel.VertexBound, rows)))
+      Experiments.ParselPick(Parsel.PR, rows(1)),
+      Experiments.ParselPick(Parsel.TR, metrics("A", "RVC", 16, commCost = 90, cut = 9)))
     val lines = printed(Experiments.printParselPicks(picks))
     assert(lines.size == 1 + picks.size)
     assert(lines(1) == f"${"A"}%-14s ${"PageRank"}%-20s -> ${"2D"}%-5s @   8 partitions (criterion=40)")
@@ -232,15 +230,15 @@ class ExperimentsSpec extends AnyFunSuite {
   test("sweepChecks: a complete, well-correlated sweep passes; each gap is reported") {
     for (kind <- Parsel.algoKinds) assert(Experiments.sweepChecks(kind, sweep(kind)) == Nil, kind)
     val gap = Experiments.sweepChecks(Parsel.SSSP, sweep(Parsel.SSSP).filterNot(c =>
-      c.run.dataset == "YouTube" && c.run.partitioner == "2D" && c.run.numPartitions == coarse))
+      c.metrics.dataset == "YouTube" && c.metrics.partitioner == "2D" && c.metrics.numPartitions == coarse))
     assert(gap == Seq("SSSP: 59 cells, expected 60", s"SSSP: YouTube/2D @ $coarse: no cell"))
     // SSSP skips the road networks, so a PageRank-shaped sweep has extra cells.
     assert(Experiments.sweepChecks(Parsel.SSSP, sweep(Parsel.PR)) == Seq("SSSP: 72 cells, expected 60"))
     assertOnlyFailure(Experiments.sweepChecks(Parsel.TR, sweep(Parsel.TR).map(c =>
-      if (c.run.dataset == "Pocek" && c.run.partitioner == "1D" && c.run.numPartitions == coarse)
-        c.copy(run = c.run.copy(millis = 0.0))
+      if (c.metrics.dataset == "Pocek" && c.metrics.partitioner == "1D" && c.metrics.numPartitions == coarse)
+        c.copy(millis = 0.0)
       else c)), s"TriangleCount: Pocek/1D @ $coarse", "time 0.0")
-    val reversed = sweep(Parsel.CC).map(c => c.copy(run = c.run.copy(millis = 70.0 - c.run.millis)))
+    val reversed = sweep(Parsel.CC).map(c => c.copy(millis = 70.0 - c.millis))
     assert(Experiments.sweepChecks(Parsel.CC, reversed) == Seq(coarse, fine).map(parts =>
       f"ConnectedComponents @ $parts: corr(time, CommCost) = -100.0%% is not above 20%%"))
   }
@@ -249,7 +247,7 @@ class ExperimentsSpec extends AnyFunSuite {
     // Give follow-dec's slowest partitioner the lowest CommCost at the fine
     // granularity, so PARSEL picks it: regret 60 ms / 10 ms - 1 = 500 %.
     val misled = sweep(Parsel.PR).map(c =>
-      if (c.run.dataset == "follow-dec" && c.run.partitioner == "DC" && c.run.numPartitions == fine)
+      if (c.metrics.dataset == "follow-dec" && c.metrics.partitioner == "DC" && c.metrics.numPartitions == fine)
         c.copy(metrics = c.metrics.copy(commCost = 1))
       else c)
     val failures = Experiments.sweepChecks(Parsel.PR, misled)

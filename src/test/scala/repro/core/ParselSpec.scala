@@ -51,19 +51,17 @@ class ParselSpec extends SparkSpec {
   test("select end-to-end equals manual metric argmin") {
     val edges   = repro.graph.SynthGraphs.rmat(spark, scale = 9, numEdges = 2000, seed = 81).cache()
     val metrics = Metrics.computeAll("rmat", edges, 16)
-    val sel     = Parsel.selection(metrics, Parsel.EdgeBound)
-    val manual  = metrics.minBy(m => (m.commCost, m.balance))
-    assert(sel.strategy.name == manual.partitioner)
-    assert(sel.metrics.size == Partitioners.all.size)
-    assert(sel.scores.values.min == manual.commCost)
+    val pick    = Parsel.selectFromMetrics(metrics, Parsel.EdgeBound)
+    assert(pick == metrics.minBy(m => (m.commCost, m.balance)))
+    assert(metrics.map(_.partitioner) == Partitioners.all.map(_.name))
     edges.unpersist()
   }
 
   test("select restricted to a candidate subset stays inside it") {
     val edges      = repro.graph.SynthGraphs.rmat(spark, scale = 8, numEdges = 500, seed = 82)
     val candidates = Seq(Partitioners.SC, Partitioners.DC)
-    val sel = Parsel.selection(Metrics.computeAll("rmat", edges, 8, candidates), Parsel.VertexBound)
-    assert(candidates.contains(sel.strategy))
+    val pick = Parsel.selectFromMetrics(Metrics.computeAll("rmat", edges, 8, candidates), Parsel.VertexBound)
+    assert(candidates.map(_.name).contains(pick.partitioner))
   }
 
   test("granularity: PR and SSSP stay coarse regardless of size") {

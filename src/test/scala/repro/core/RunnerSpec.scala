@@ -46,29 +46,9 @@ class RunnerSpec extends SparkSpec {
       Runner.sampleVertices(edges, 5, seed = 99))
   }
 
-  test("timeRun: returns a positive measurement with correct labels") {
-    val run = Runner.timeRun("rmat", edges, Runner.PageRank(iters = 2), Partitioners.RVC, 4)
-    assert(run.millis > 0)
-    assert(run.dataset == "rmat")
-    assert(run.algorithm == "PageRank")
-    assert(run.partitioner == "RVC")
-    assert(run.numPartitions == 4)
-  }
-
   test("timeRun: every algorithm executes end-to-end") {
-    val sources = Runner.sampleVertices(edges, 2)
-    for (algo <- Seq[Runner.Algo](Runner.PageRank(2), Runner.ConnectedComponents(),
-        Runner.TriangleCount, Runner.Sssp(sources))) {
-      val run = Runner.timeRun("rmat", edges, algo, Partitioners.TwoD, 4)
-      assert(run.millis > 0, algo.name)
-    }
-  }
-
-  test("algo kinds map to the paper's four algorithms") {
-    assert(Runner.PageRank().kind == Parsel.PR)
-    assert(Runner.ConnectedComponents().kind == Parsel.CC)
-    assert(Runner.ConnectedComponents().maxIters == 10)
-    assert(Runner.TriangleCount.kind == Parsel.TR)
-    assert(Runner.Sssp(Seq(1L)).kind == Parsel.SSSP)
+    val landmarks = Runner.sampleVertices(edges, 2)
+    for (kind <- Parsel.algoKinds)
+      assert(Runner.timeRun(edges, kind, Partitioners.TwoD, 4, landmarks) > 0, kind.name)
   }
 }

@@ -18,9 +18,9 @@ class GraphOpsSpec extends SparkSpec {
 
   private val directedChain = Seq((0L, 1L), (1L, 2L), (2L, 3L))
 
-  test("numVertices counts distinct endpoints") {
-    assert(GraphOps.numVertices(df(diamond)) == 4)
-    assert(GraphOps.numVertices(df(directedChain)) == 4)
+  test("degrees: one row per distinct endpoint") {
+    assert(GraphOps.degrees(df(diamond)).count() == 4)
+    assert(GraphOps.degrees(df(directedChain)).count() == 4)
   }
 
   test("symmetryPct: fully reciprocated graph measures 100") {
@@ -36,15 +36,21 @@ class GraphOpsSpec extends SparkSpec {
     assert(GraphOps.symmetryPct(df(half)) == 50.0)
   }
 
+  private def profileOf(edges: Seq[(Long, Long)]) =
+    GraphOps.profile("g", df(edges), numParts = 2, includeDiameter = false)
+
   test("zeroInPct / zeroOutPct on a directed chain") {
     // 0 has no in-edge; 3 has no out-edge; 4 vertices.
-    assert(GraphOps.zeroInPct(df(directedChain)) == 25.0)
-    assert(GraphOps.zeroOutPct(df(directedChain)) == 25.0)
+    val p = profileOf(directedChain)
+    assert(p.vertices == 4)
+    assert(p.zeroInPct == 25.0)
+    assert(p.zeroOutPct == 25.0)
   }
 
   test("zeroIn/zeroOut are 0 on symmetric graphs") {
-    assert(GraphOps.zeroInPct(df(diamond)) == 0.0)
-    assert(GraphOps.zeroOutPct(df(diamond)) == 0.0)
+    val p = profileOf(diamond)
+    assert(p.zeroInPct == 0.0)
+    assert(p.zeroOutPct == 0.0)
   }
 
   test("degrees: full outer join covers one-sided vertices") {
