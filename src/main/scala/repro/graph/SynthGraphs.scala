@@ -4,17 +4,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 
-/** Deterministic synthetic graph generators standing in for the paper's
-  * datasets (SNAP graphs + the authors' proprietary Twitter crawl), which are
-  * unavailable offline. Every generator returns a simple directed edge list
-  * `DataFrame(src: Long, dst: Long)` — no self-loops, no duplicate edges.
-  * Its edges are deterministic only for a fixed `local[*]` core count: they
-  * depend on its parameters, its seed and the session's default parallelism,
-  * because `rand(seed)` is seeded per partition and `spark.range` splits
-  * into `defaultParallelism` slices. At div 2000, YouTube has 1292 edges
-  * under `local[2]` and 1312 under `local[4]`. `partialSymmetrize` draws
-  * after a `distinct`, so its output also depends on
-  * `spark.sql.shuffle.partitions`.
+/** Synthetic graph generators standing in for the paper's datasets (SNAP
+  * graphs + the authors' proprietary Twitter crawl), which are unavailable
+  * offline. Every generator returns a simple directed edge list
+  * `DataFrame(src: Long, dst: Long)` — no self-loops, no duplicate edges —
+  * that depends on its parameters and seed only: each random choice is one
+  * [[uniform]] draw, whatever the core count or shuffle partitioning.
   *
   * The generators target the structural properties the paper's analysis keys
   * on: degree skew (RMAT), edge symmetry percentage (partial symmetrization),
@@ -23,13 +18,26 @@ import org.apache.spark.sql.types.LongType
   */
 object SynthGraphs {
 
+  private val Golden = 0x9E3779B97F4A7C15L
+
+  /** The splitmix64 finaliser: a bijective 64-bit mix. */
+  private def mix(x: Long): Long = {
+    var z = (x ^ (x >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    z ^ (z >>> 31)
+  }
+
+  /** Counter-based draw in `[0, 1)`: a pure function of `(seed, key)` (Salmon et al., SC 2011). */
+  def uniform(seed: Long, key: Long): Double =
+    (mix(mix(seed) + key * Golden) >>> 11).toDouble / (1L << 53)
+
   /** R-MAT power-law graph over vertex IDs `[0, 2^scale)`.
     *
-    * Each of `numEdges` candidate edges picks one quadrant per bit level with
-    * probabilities (a, b, c, d) for ((0,0), (0,1), (1,0), (1,1)); a-heavy
-    * parameterizations concentrate degree on low IDs, giving the fat-tailed
-    * in/out-degree distributions of Figure 1. Self-loops and duplicates are
-    * dropped, so the realized edge count is slightly below `numEdges`.
+    * Each of `numEdges` candidate edges picks one quadrant per bit level, with
+    * probabilities (a, b, c, d) for ((0,0), (0,1), (1,0), (1,1)), from the one
+    * draw `uniform(seed · 1000003 + level, id)`; a-heavy parameterizations
+    * concentrate degree on low IDs, giving the fat-tailed degrees of Figure 1.
+    * Self-loops and duplicates are dropped, so fewer than `numEdges` remain.
     */
   def rmat(
       spark: SparkSession,
@@ -41,20 +49,14 @@ object SynthGraphs {
       seed: Long = 42): DataFrame = {
     require(scale > 0 && scale < 63, s"scale out of range: $scale")
     require(a + b + c < 1.0, "quadrant probabilities must sum below 1")
-    var df = spark.range(numEdges)
-      .select(lit(0L).as("src"), lit(0L).as("dst"), col("id"))
-    for (level <- 0 until scale) {
-      val u      = rand(seed * 1000003L + level)
-      val srcBit = when(u < a + b, 0L).otherwise(1L)
-      val dstBit = when(u < a, 0L)
-        .when(u < a + b, 1L)
-        .when(u < a + b + c, 0L)
-        .otherwise(1L)
-      df = df
-        .withColumn("src", col("src") + srcBit * (1L << level))
-        .withColumn("dst", col("dst") + dstBit * (1L << level))
-    }
-    df.select(col("src").cast(LongType), col("dst").cast(LongType))
+    import spark.implicits._
+    spark.range(numEdges).map { id =>
+      (0 until scale).foldLeft((0L, 0L)) { case ((src, dst), level) =>
+        val u = uniform(seed * 1000003L + level, id)
+        (if (u < a + b) src else src | 1L << level,
+          if (u < a || (u >= a + b && u < a + b + c)) dst else dst | 1L << level)
+      }
+    }.toDF("src", "dst")
       .where(col("src") =!= col("dst"))
       .distinct()
   }
@@ -70,12 +72,13 @@ object SynthGraphs {
   /** Adds the reverse of a `fraction` of edges, yielding a graph where the
     * reciprocated share is about `2·fraction / (1 + fraction)` — the knob used
     * to hit the paper's Symm% column (Pocek 54 %, socLiveJournal 75 %,
-    * follow 38 %).
+    * follow 38 %). The draw is keyed on the edge, not on its row.
     */
   def partialSymmetrize(edges: DataFrame, fraction: Double, seed: Long): DataFrame = {
     require(fraction >= 0 && fraction <= 1, s"fraction out of range: $fraction")
+    val reverse = udf((src: Long, dst: Long) => uniform(seed, (src << 32) ^ dst) < fraction)
     val reversed = edges
-      .where(rand(seed) < fraction)
+      .where(reverse(col("src"), col("dst")))
       .select(col("dst").as("src"), col("src").as("dst"))
     edges.union(reversed).distinct()
   }
@@ -112,17 +115,19 @@ object SynthGraphs {
       inDegree: Int = 2): DataFrame = {
     require(outDegree >= 1 && inDegree >= 1, "fringe degrees must be positive")
     val spark = edges.sparkSession
+    def hub(seed: Long) =
+      udf((id: Long) => (StrictMath.pow(uniform(seed, id), 3) * coreVertexSpace).toLong)
     val outFringe = spark.range(numOutOnly * outDegree).select(
       (col("id") / outDegree + coreVertexSpace).cast(LongType).as("src"),
-      floor(pow(rand(seed + 1), 3.0) * coreVertexSpace).cast(LongType).as("dst"))
+      hub(seed + 1)(col("id")).as("dst"))
     val inFringe = spark.range(numInOnly * inDegree).select(
-      floor(pow(rand(seed + 2), 3.0) * coreVertexSpace).cast(LongType).as("src"),
+      hub(seed + 2)(col("id")).as("src"),
       (col("id") / inDegree + coreVertexSpace + numOutOnly).cast(LongType).as("dst"))
     edges.union(outFringe.distinct()).union(inFringe.distinct())
   }
 
   /** Deterministic bijective bit-mixing permutation on `[0, 2^bits)` — a
-    * 3-round Feistel network with a splitmix-style round function.
+    * 3-round Feistel network whose round function is [[uniform]]'s finaliser.
     *
     * R-MAT correlates hub-ness with vertex-ID bit patterns (hubs are the
     * all-zero-quadrant IDs, i.e. multiples of large powers of two), which
@@ -138,16 +143,10 @@ object SynthGraphs {
     val mask = (1L << h) - 1
     var l    = (x >>> h) & mask
     var r    = x & mask
-    var round = 0
-    while (round < 3) {
-      var f = r + seed + round * 0x9E3779B97F4A7C15L
-      f = (f ^ (f >>> 30)) * 0xBF58476D1CE4E5B9L
-      f = (f ^ (f >>> 27)) * 0x94D049BB133111EBL
-      f ^= f >>> 31
+    for (round <- 0 until 3) {
       val nl = r
-      r = (l ^ f) & mask
+      r = (l ^ mix(r + seed + round * Golden)) & mask
       l = nl
-      round += 1
     }
     (l << h) | r
   }
@@ -213,18 +212,19 @@ object SynthGraphs {
     require(side >= 2, s"grid side must be >= 2, got $side")
     val n     = side.toLong * side
     val cells = spark.range(n)
+    def drawn(salt: Long, fraction: Double) =
+      udf((id: Long) => uniform(seed + salt, id) < fraction).apply(col("id"))
     val right = cells
-      .where(col("id") % side =!= (side - 1) && rand(seed + 11) < keepFraction)
+      .where(col("id") % side =!= (side - 1) && drawn(11, keepFraction))
       .select(col("id").as("src"), (col("id") + 1).as("dst"))
     val down = cells
-      .where(col("id") < n - side && rand(seed + 13) < keepFraction)
+      .where(col("id") < n - side && drawn(13, keepFraction))
       .select(col("id").as("src"), (col("id") + side).as("dst"))
     val diag = cells
       .where(col("id") % side =!= (side - 1) && col("id") < n - side &&
-        rand(seed + 17) < diagFraction)
+        drawn(17, diagFraction))
       .select((col("id") + 1).as("src"), (col("id") + side).as("dst"))
-    val undirected = right.union(down).union(diag)
-    symmetrize(undirected)
+    symmetrize(right.union(down).union(diag))
       .select((col("src") + idOffset).as("src"), (col("dst") + idOffset).as("dst"))
   }
 

@@ -31,9 +31,22 @@ class DatasetsSpec extends SparkSpec {
       assert(e1.count() > 0)
       assert(e1.count() == e1.distinct().count(), "no duplicate edges")
       assert(e1.where("src = dst").count() == 0, "no self-loops")
-      val e2 = Datasets.edges(spark, spec, div = 5000)
-      assert(e1.except(e2).count() == 0 && e2.except(e1).count() == 0, "deterministic")
+      // The second generation runs under another shuffle partitioning, which
+      // must not change the edge set.
+      val shufflePartitions = spark.conf.get("spark.sql.shuffle.partitions")
+      spark.conf.set("spark.sql.shuffle.partitions", "7")
+      try {
+        val e2 = Datasets.edges(spark, spec, div = 5000).cache()
+        assert(e1.except(e2).count() == 0 && e2.except(e1).count() == 0, "deterministic")
+        e2.unpersist()
+      } finally spark.conf.set("spark.sql.shuffle.partitions", shufflePartitions)
       e1.unpersist()
+    }
+
+    test(s"${spec.name}: equals the driver-side reference generator at div=5000") {
+      val generated = Datasets.edges(spark, spec, div = 5000).collect()
+        .map(r => (r.getLong(0), r.getLong(1))).toSet
+      assert(generated == repro.SynthReference.edges(spec, div = 5000))
     }
   }
 

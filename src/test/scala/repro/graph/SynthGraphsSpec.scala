@@ -52,6 +52,24 @@ class SynthGraphsSpec extends SparkSpec {
       s"expected a fat-tailed distribution, max=${degrees.max} mean=$mean")
   }
 
+  test("rmat: with b == c, an edge points up or down the ID order equally often") {
+    for (seed <- Seq(1L, 5L)) {
+      val e  = pairs(SynthGraphs.rmat(spark, scale = 10, numEdges = 20000, seed = seed))
+      val up = e.count { case (s, d) => s < d }.toDouble / e.size
+      assert(up >= 0.45 && up <= 0.55, s"seed $seed: share of src < dst is $up")
+    }
+  }
+
+  test("uniform: a pure draw in [0, 1) with mean near 1/2 per seed") {
+    for (seed <- Seq(0L, 7L, -3L)) {
+      val draws = (0L until 10000L).map(SynthGraphs.uniform(seed, _))
+      assert(draws == (0L until 10000L).map(SynthGraphs.uniform(seed, _)))
+      assert(draws.forall(u => u >= 0.0 && u < 1.0))
+      assert(math.abs(draws.sum / draws.size - 0.5) < 0.02, s"seed $seed")
+    }
+    assert(SynthGraphs.uniform(1, 42) != SynthGraphs.uniform(2, 42))
+  }
+
   test("rmat: rejects degenerate parameters") {
     assertThrows[IllegalArgumentException](SynthGraphs.rmat(spark, 0, 10))
     assertThrows[IllegalArgumentException](
