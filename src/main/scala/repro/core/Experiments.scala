@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.{Datasets, GraphOps, GraphProfile}
 import repro.partition.{Metrics, PartitionMetrics, Partitioners}
 import repro.sim.{BspCostModel, Infra}
@@ -12,14 +12,14 @@ import repro.sim.{BspCostModel, Infra}
   * per way they miss the shape the paper reports; the message names the
   * dataset and partitioner it is about.
   *
-  * Scale knobs (all env-overridable, see README):
+  * Scale knobs (env-overridable, see README):
   *   - `REPRO_METRIC_DIV`  (default 100)  — Tables 1–3 and the infra
   *     experiment run at 1/100 of the paper's graph sizes with the paper's
   *     exact partition counts (128/256);
   *   - `REPRO_TIMED_DIV`   (default 2000) — the timed correlation sweep and
-  *     the PARSEL picks run at 1/2000 scale;
-  *   - `REPRO_COARSE`/`REPRO_FINE` (default 8/16) — partition counts for the
-  *     timed sweep, the local[*] analogue of the paper's 128/256 on 128 cores.
+  *     the PARSEL picks run at 1/2000 scale, with 8 and 16 partitions
+  *     (`coarseParts`/`fineParts`), the local[*] analogue of the paper's
+  *     128/256 on 128 cores.
   */
 object Experiments {
 
@@ -28,16 +28,28 @@ object Experiments {
 
   def metricDiv: Int = envInt("REPRO_METRIC_DIV", 100)
   def timedDiv: Int  = envInt("REPRO_TIMED_DIV", 2000)
-  def coarseParts: Int = envInt("REPRO_COARSE", 8)
-  def fineParts: Int   = envInt("REPRO_FINE", 16)
 
   /** The paper's partition-count configurations for the metric tables. */
   val PaperCoarse = 128
   val PaperFine   = 256
 
+  /** The timed sweep's and PARSEL's partition counts. */
+  val coarseParts = 8
+  val fineParts   = 16
+
   /** `failure` alone when `ok` is false, else nothing. */
   private def check(ok: Boolean, failure: => String): Seq[String] =
     if (ok) Nil else Seq(failure)
+
+  /** `use` applied to the cached edges of `spec` at 1/`div` scale, which are
+    * unpersisted afterwards, blocking for the reason given in
+    * `GraphOps.profile`.
+    */
+  private[core] def withEdges[A](spark: SparkSession, spec: Datasets.Spec, div: Int)(
+      use: DataFrame => A): A = {
+    val edges = Datasets.edges(spark, spec, div).cache()
+    try use(edges) finally edges.unpersist(blocking = true)
+  }
 
   /** The SparkSession every entrypoint and test runs in. Broadcast joins are
     * disabled so the metric aggregations always take the shuffle path.
@@ -127,12 +139,9 @@ object Experiments {
     * once for both.
     */
   def metricsTables(spark: SparkSession): (Seq[PartitionMetrics], Seq[PartitionMetrics]) = {
-    val perDataset = Datasets.all.map { spec =>
-      val edges = Datasets.edges(spark, spec, metricDiv).cache()
-      try (Metrics.computeAll(spec.name, edges, PaperCoarse),
-        Metrics.computeAll(spec.name, edges, PaperFine))
-      finally edges.unpersist()
-    }
+    val perDataset = Datasets.all.map(spec => withEdges(spark, spec, metricDiv) { edges =>
+      (Metrics.computeAll(spec.name, edges, PaperCoarse), Metrics.computeAll(spec.name, edges, PaperFine))
+    })
     (perDataset.flatMap(_._1), perDataset.flatMap(_._2))
   }
 
@@ -256,22 +265,19 @@ object Experiments {
   def timedSweeps(spark: SparkSession, datasets: Seq[Datasets.Spec],
       div: Int): Seq[(Parsel.AlgoKind, Seq[Cell])] = {
     val partsList = Seq(coarseParts, fineParts)
-    val perDataset = datasets.map { spec =>
-      val edges = Datasets.edges(spark, spec, div).cache()
-      try {
-        edges.count() // materialize outside the timed region
-        val kinds = Parsel.algoKinds.filter(timedOn(_, spec))
-        val landmarks = if (kinds.contains(Parsel.SSSP)) Runner.sampleVertices(edges, 2) else Nil
-        val rows = partsList.flatMap(parts =>
-          Partitioners.all.zip(Metrics.computeAll(spec.name, edges, parts)))
-        kinds.map { kind =>
-          Runner.timeRun(edges, kind, Partitioners.RVC, partsList.head, landmarks)
-          kind -> rows.map { case (strategy, m) =>
-            Cell(m, Runner.timeRun(edges, kind, strategy, m.numPartitions, landmarks))
-          }
-        }.toMap
-      } finally edges.unpersist(blocking = true)
-    }
+    val perDataset = datasets.map(spec => withEdges(spark, spec, div) { edges =>
+      edges.count() // materialize outside the timed region
+      val kinds = Parsel.algoKinds.filter(timedOn(_, spec))
+      val landmarks = if (kinds.contains(Parsel.SSSP)) Runner.sampleVertices(edges, 2) else Nil
+      val rows = partsList.flatMap(parts =>
+        Partitioners.all.zip(Metrics.computeAll(spec.name, edges, parts)))
+      kinds.map { kind =>
+        Runner.timeRun(edges, kind, Partitioners.RVC, partsList.head, landmarks)
+        kind -> rows.map { case (strategy, m) =>
+          Cell(m, Runner.timeRun(edges, kind, strategy, m.numPartitions, landmarks))
+        }
+      }.toMap
+    })
     Parsel.algoKinds.map(kind => kind -> perDataset.flatMap(_.getOrElse(kind, Nil)))
   }
 
@@ -327,16 +333,16 @@ object Experiments {
       f"${c.millis}%10.1f ms  commCost=${c.metrics.commCost}%10d  cut=${c.metrics.cut}%10d"))
   }
 
-  /** The metric the paper finds predicts an algorithm's time (Figures 3–6:
-    * 80–97 %), and the Pearson r it must exceed at both granularities here.
+  /** The Pearson r that an algorithm's time must exceed against the metric
+    * its class names (the paper's Figures 3–6 read 80–97 %), at both
+    * granularities.
     */
-  private def predictor(kind: Parsel.AlgoKind): (String, PartitionMetrics => Long, Double) =
-    kind match {
-      case Parsel.PR   => ("CommCost", _.commCost, 0.3)
-      case Parsel.CC   => ("CommCost", _.commCost, 0.2)
-      case Parsel.TR   => ("Cut", _.cut, 0.2)
-      case Parsel.SSSP => ("CommCost", _.commCost, 0.1)
-    }
+  private def minCorrelation(kind: Parsel.AlgoKind): Double = kind match {
+    case Parsel.PR   => 0.3
+    case Parsel.CC   => 0.2
+    case Parsel.TR   => 0.2
+    case Parsel.SSSP => 0.1
+  }
 
   /** The datasets on which PARSEL's PageRank regret is checked: a grid, a
     * symmetric social graph, a partially symmetric one and a skewed crawl.
@@ -352,7 +358,7 @@ object Experiments {
     * statistic.
     */
   def sweepChecks(kind: Parsel.AlgoKind, cells: Seq[Cell]): Seq[String] = {
-    val (metricName, metric, minR) = predictor(kind)
+    val minR = minCorrelation(kind)
     val partsList = Seq(coarseParts, fineParts)
     val expected = for (spec <- sweepDatasets(kind); s <- Partitioners.all; parts <- partsList)
       yield (spec.name, s.name, parts)
@@ -368,8 +374,8 @@ object Experiments {
     expected.filterNot(timed).map { case (d, s, parts) => s"${kind.name}: $d/$s @ $parts: no cell" } ++
     cells.flatMap(c => check(c.millis > 0, s"${kind.name}: ${at(c.metrics)}: time ${c.millis} ms")) ++
     partsList.flatMap { parts =>
-      val r = correlation(cells, parts, metric)
-      check(r > minR, f"${kind.name} @ $parts: corr(time, $metricName) = ${100 * r}%.1f%% " +
+      val r = correlation(cells, parts, Parsel.criterion(_, kind.algoClass))
+      check(r > minR, f"${kind.name} @ $parts: corr(time, ${kind.algoClass.metric}) = ${100 * r}%.1f%% " +
         f"is not above ${100 * minR}%.0f%%")
     } ++
     regrets.flatMap { case (d, pick, r) =>
@@ -384,13 +390,11 @@ object Experiments {
   /** Inputs of the infrastructure experiment: the 2D metrics of follow-dec at
     * 256 partitions and the size of its edge list on disk in bytes.
     */
-  def infraInputs(spark: SparkSession): (PartitionMetrics, Long) = {
-    val edges = Datasets.edges(spark, "follow-dec", metricDiv).cache()
-    try {
+  def infraInputs(spark: SparkSession): (PartitionMetrics, Long) =
+    withEdges(spark, Datasets.byName("follow-dec"), metricDiv) { edges =>
       val bytes = GraphOps.sizeOnDiskBytes(edges)
-      (Metrics.compute("follow-dec", edges, Partitioners.TwoD, PaperFine), bytes)
-    } finally edges.unpersist()
-  }
+      (Metrics.computeAll("follow-dec", edges, PaperFine, Seq(Partitioners.TwoD)).head, bytes)
+    }
 
   private val infraConfigs = Seq(Infra.ConfigII, Infra.ConfigIII, Infra.ConfigIV)
 
@@ -458,19 +462,16 @@ object Experiments {
   def parselPicks(spark: SparkSession): Seq[ParselPick] = {
     val div = timedDiv
     val largest = Datasets.all.map(_.paperEdges / div).max
-    Datasets.all.flatMap { spec =>
-      val edges = Datasets.edges(spark, spec, div).cache()
+    Datasets.all.flatMap(spec => withEdges(spark, spec, div) { edges =>
       val numEdges = edges.count()
-      try {
-        val partsOf = Parsel.algoKinds.map(kind =>
-          kind -> Parsel.granularity(kind, numEdges, largest, coarseParts, fineParts))
-        val metrics = partsOf.map(_._2).distinct
-          .map(parts => parts -> Metrics.computeAll(spec.name, edges, parts)).toMap
-        partsOf.map { case (kind, parts) =>
-          ParselPick(kind, Parsel.selectFromMetrics(metrics(parts), kind.algoClass))
-        }
-      } finally edges.unpersist()
-    }
+      val partsOf = Parsel.algoKinds.map(kind =>
+        kind -> Parsel.granularity(kind, numEdges, largest, coarseParts, fineParts))
+      val metrics = partsOf.map(_._2).distinct
+        .map(parts => parts -> Metrics.computeAll(spec.name, edges, parts)).toMap
+      partsOf.map { case (kind, parts) =>
+        ParselPick(kind, Parsel.selectFromMetrics(metrics(parts), kind.algoClass))
+      }
+    })
   }
 
   /** One line per pick: the chosen strategy, granularity and criterion value. */

@@ -24,10 +24,10 @@ import repro.partition.PartitionMetrics
   */
 object Parsel {
 
-  /** Which metric predicts an algorithm's runtime. */
-  sealed trait AlgoClass
-  case object EdgeBound   extends AlgoClass // per-edge work, small vertex state
-  case object VertexBound extends AlgoClass // heavy per-vertex state
+  /** Which metric predicts an algorithm's runtime, by the metric's name. */
+  sealed abstract class AlgoClass(val metric: String)
+  case object EdgeBound   extends AlgoClass("CommCost") // per-edge work, small vertex state
+  case object VertexBound extends AlgoClass("Cut")      // heavy per-vertex state
 
   /** The four evaluated algorithms with their predictive class. */
   sealed abstract class AlgoKind(val name: String, val algoClass: AlgoClass)
@@ -58,7 +58,7 @@ object Parsel {
     * sweep (the paper's cutoff separates Orkut/socLiveJournal/follow-* from
     * the rest at 128/256 partitions).
     */
-  val LargeGraphEdgeThresholdRatio = 0.25
+  private val LargeGraphEdgeThresholdRatio = 0.25
 
   /** Granularity (partition count) heuristic per algorithm. */
   def granularity(

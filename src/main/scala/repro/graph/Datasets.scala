@@ -142,8 +142,4 @@ object Datasets {
           SynthGraphs.evenBitsFor((1L << scale) + nOut + nIn), seed = spec.seed + 7)
     }
   }
-
-  /** Convenience: edges by dataset name. */
-  def edges(spark: SparkSession, name: String, div: Int): DataFrame =
-    edges(spark, byName(name), div)
 }

@@ -76,8 +76,10 @@ object GraphOps {
 
   /** Pseudo-diameter by double BFS sweep on the *undirected* view of a graph
     * known to have a single component: hop eccentricity of the vertex
-    * farthest from an arbitrary start. Exact on trees, a tight lower bound in
-    * general — adequate for the "short vs infinite" distinction Table 1 draws.
+    * farthest from the smallest vertex ID, distance ties going to the smaller
+    * ID, so the result depends on the graph alone and not on its partitioning
+    * or on task order. Exact on trees, a tight lower bound in general —
+    * adequate for the "short vs infinite" distinction Table 1 draws.
     */
   private def doubleSweep(graph: Graph[Int, Int]): Int = {
     val und = Graph.fromEdges(
@@ -89,8 +91,8 @@ object GraphOps {
       ShortestPathsAlg.run(und, Seq(from))
         .vertices
         .map { case (vid, m) => (vid, m.getOrElse(from, 0)) }
-        .reduce((a, b) => if (a._2 >= b._2) a else b)
-    val start       = graph.vertices.map(_._1).first()
+        .reduce((a, b) => if (a._2 > b._2 || a._2 == b._2 && a._1 < b._1) a else b)
+    val start       = graph.vertices.map(_._1).min()
     val (far, _)    = farthest(start)
     val (_, radius) = farthest(far)
     radius

@@ -82,14 +82,6 @@ object Metrics {
         count(lit(1)).as("numVertices"))
   }
 
-  /** All five metrics for one (graph, strategy, numParts) combination. */
-  def compute(
-      dataset: String,
-      edges: DataFrame,
-      strategy: Strategy,
-      numParts: Int): PartitionMetrics =
-    computeAll(dataset, edges, numParts, Seq(strategy)).head
-
   /** Metrics for every strategy over one graph, in the order of `strategies`;
     * caches `edges` unless the caller did.
     */

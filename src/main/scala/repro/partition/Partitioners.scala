@@ -112,10 +112,4 @@ object Partitioners {
 
   /** All six strategies, in the paper's presentation order. */
   val all: Seq[Strategy] = Seq(RVC, OneD, TwoD, CRVC, SC, DC)
-
-  /** Lookup by the paper's short name ("RVC", "1D", "2D", "CRVC", "SC", "DC"). */
-  def byName(name: String): Strategy =
-    all.find(_.name == name).getOrElse(
-      throw new IllegalArgumentException(
-        s"unknown partitioner '$name'; expected one of ${all.map(_.name).mkString(", ")}"))
 }

@@ -1,6 +1,5 @@
 package repro.sim
 
-import repro.core.Parsel
 import repro.partition.PartitionMetrics
 
 /** Simulated cluster infrastructure — the substitute for the paper's final
@@ -25,41 +24,32 @@ object Infra {
   val ConfigIV: Infra  = Infra("(iv) 40Gbps+SSD", networkGbps = 40.0, storageMBps = 520)
 }
 
-/** Knobs of the cost model. Defaults are calibrated so that, for a
-  * PageRank-like sweep on the follow-dec analogue (~2 M edges at 1/100
-  * scale), the communication term at 1 Gbps and the storage term on HDD carry
-  * roughly the shares the paper's measured 15 % / 20 % improvements imply
-  * (see `Experiments.infraChecks` and EXPERIMENTS.md).
-  *
-  * `secsPerEdge` is deliberately far above a raw CPU edge-op: it amortizes
-  * the per-task scheduling/serialization overhead of a BSP superstep over the
-  * (small, at reproduction scale) per-partition edge count, which is what
-  * keeps compute the dominant term as it is on the paper's cluster.
-  */
-final case class CostParams(
-    bytesPerMessage: Double = 64.0,
-    secsPerEdge: Double = 2.1e-4,
-    loadPasses: Double = 8.0) // input bytes cross storage this many times (read + shuffle spill)
-
 object BspCostModel {
 
-  /** Estimated seconds for `supersteps` BSP supersteps of an algorithm whose
-    * per-superstep message count is the metric the paper found predictive
-    * (CommCost for edge-bound algorithms, Cut for vertex-bound ones).
+  // The constants are calibrated so that, for PageRank on the follow-dec
+  // analogue (~2 M edges at 1/100 scale), the communication term at 1 Gbps
+  // and the storage term on HDD carry roughly the shares the paper's measured
+  // 15 % / 20 % improvements imply (see `Experiments.infraChecks` and
+  // EXPERIMENTS.md).
+  private val BytesPerMessage = 64.0
+  // Deliberately far above a raw CPU edge-op: it amortizes the per-task
+  // scheduling/serialization overhead of a BSP superstep over the (small, at
+  // reproduction scale) per-partition edge count, which is what keeps compute
+  // the dominant term as it is on the paper's cluster.
+  private val SecsPerEdge = 2.1e-4
+  // Input bytes cross storage this many times (read + shuffle spill).
+  private val LoadPasses = 8.0
+
+  /** Estimated seconds for `supersteps` BSP supersteps of PageRank, whose
+    * per-superstep message count is its CommCost, the metric the paper found
+    * predictive for it.
     */
-  def estimateSeconds(
-      m: PartitionMetrics,
-      graphBytes: Long,
-      supersteps: Int,
-      infra: Infra,
-      algoClass: Parsel.AlgoClass = Parsel.EdgeBound,
-      params: CostParams = CostParams()): Double = {
+  def estimateSeconds(m: PartitionMetrics, graphBytes: Long, supersteps: Int, infra: Infra): Double = {
     require(supersteps > 0, s"supersteps must be positive: $supersteps")
-    val load = params.loadPasses * graphBytes / infra.storageBytesPerSec
+    val load = LoadPasses * graphBytes / infra.storageBytesPerSec
     val maxPartitionEdges = m.balance * m.numEdges / m.numPartitions
-    val compute = maxPartitionEdges * params.secsPerEdge
-    val messages = Parsel.criterion(m, algoClass).toDouble
-    val comm = messages * params.bytesPerMessage / infra.networkBytesPerSec
+    val compute = maxPartitionEdges * SecsPerEdge
+    val comm = m.commCost.toDouble * BytesPerMessage / infra.networkBytesPerSec
     load + supersteps * (compute + comm)
   }
 

@@ -1,6 +1,6 @@
 package repro.algorithms
 
-import org.apache.spark.graphx.{Graph, VertexId, lib => gxlib}
+import org.apache.spark.graphx.{Graph, lib => gxlib}
 import org.apache.spark.sql.DataFrame
 import repro.{Reference, SparkSpec}
 import repro.partition.Partitioners
@@ -72,7 +72,6 @@ class AlgorithmsSpec extends SparkSpec {
 
   test("PageRank rejects bad arguments") {
     assertThrows[IllegalArgumentException](PageRankAlg.run(sampleGraph, 0))
-    assertThrows[IllegalArgumentException](PageRankAlg.run(sampleGraph, 5, resetProb = 1.5))
   }
 
   // --- Connected Components ---

@@ -238,9 +238,11 @@ class ExperimentsSpec extends AnyFunSuite {
       if (c.metrics.dataset == "Pocek" && c.metrics.partitioner == "1D" && c.metrics.numPartitions == coarse)
         c.copy(millis = 0.0)
       else c)), s"TriangleCount: Pocek/1D @ $coarse", "time 0.0")
-    val reversed = sweep(Parsel.CC).map(c => c.copy(millis = 70.0 - c.millis))
-    assert(Experiments.sweepChecks(Parsel.CC, reversed) == Seq(coarse, fine).map(parts =>
-      f"ConnectedComponents @ $parts: corr(time, CommCost) = -100.0%% is not above 20%%"))
+    for ((kind, metric) <- Seq(Parsel.CC -> "CommCost", Parsel.TR -> "Cut")) {
+      val reversed = sweep(kind).map(c => c.copy(millis = 70.0 - c.millis))
+      assert(Experiments.sweepChecks(kind, reversed) == Seq(coarse, fine).map(parts =>
+        f"${kind.name} @ $parts: corr(time, $metric) = -100.0%% is not above 20%%"))
+    }
   }
 
   test("sweepChecks: PARSEL's PageRank regret stays below 100% per dataset and 50% on average") {

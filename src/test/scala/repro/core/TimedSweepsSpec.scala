@@ -1,13 +1,33 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.graph.Datasets
 import repro.partition.Metrics
 
 /** The correlation sweep's driver on a road network and a social graph at a
-  * tiny scale.
+  * tiny scale, and the dataset lifecycle the drivers share.
   */
 class TimedSweepsSpec extends SparkSpec {
+
+  test("withEdges: the edges are cached inside the body and unpersisted after it returns or throws") {
+    val spec = Datasets.byName("YouTube")
+    var seen: DataFrame = null
+    val n = Experiments.withEdges(spark, spec, 20000) { edges =>
+      seen = edges
+      assert(edges.storageLevel != StorageLevel.NONE)
+      edges.count()
+    }
+    assert(n > 0)
+    assert(seen.storageLevel == StorageLevel.NONE)
+    seen = null
+    assertThrows[IllegalStateException](Experiments.withEdges(spark, spec, 20000) { edges =>
+      seen = edges
+      throw new IllegalStateException("body failed")
+    })
+    assert(seen.storageLevel == StorageLevel.NONE)
+  }
 
   test("timedSweeps: one positive-time cell per (dataset, strategy, granularity), with its metrics") {
     // A cell's time on graphs this small is mostly per-task overhead, and the

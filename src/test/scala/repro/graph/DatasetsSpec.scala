@@ -52,7 +52,7 @@ class DatasetsSpec extends SparkSpec {
 
   test("symmetric datasets measure 100% symmetry at div=2000") {
     for (name <- Seq("YouTube", "RoadNet-PA")) {
-      val e = Datasets.edges(spark, name, div = 2000)
+      val e = Datasets.edges(spark, Datasets.byName(name), div = 2000)
       assert(GraphOps.symmetryPct(e) == 100.0, name)
     }
   }
@@ -78,18 +78,18 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("road datasets fragment into multiple components at div=500") {
-    val e = Datasets.edges(spark, "RoadNet-TX", div = 500)
+    val e = Datasets.edges(spark, Datasets.byName("RoadNet-TX"), div = 500)
     val g = repro.algorithms.GraphBuilder.partitioned(e, repro.partition.Partitioners.RVC, 4)
     assert(repro.algorithms.ConnectedComponentsAlg.count(g) > 1)
   }
 
   test("scale divisor controls graph size monotonically") {
-    val big   = Datasets.edges(spark, "YouTube", div = 1000).count()
-    val small = Datasets.edges(spark, "YouTube", div = 4000).count()
+    val big   = Datasets.edges(spark, Datasets.byName("YouTube"), div = 1000).count()
+    val small = Datasets.edges(spark, Datasets.byName("YouTube"), div = 4000).count()
     assert(big > small)
   }
 
   test("div must be at least 1") {
-    assertThrows[IllegalArgumentException](Datasets.edges(spark, "YouTube", div = 0))
+    assertThrows[IllegalArgumentException](Datasets.edges(spark, Datasets.byName("YouTube"), div = 0))
   }
 }

@@ -113,6 +113,14 @@ class GraphOpsSpec extends SparkSpec {
     assert(diameterOf(directedChain) == Some(3))
   }
 
+  test("pseudoDiameter: sweeps from the smallest ID and breaks distance ties by the smaller ID") {
+    // From 0, vertices 3 and 4 tie at distance 2. The sweep from 3 reads 2;
+    // one from 4 would read 3.
+    val kite = Seq((0L, 1L), (0L, 2L), (1L, 3L), (1L, 4L), (2L, 3L))
+      .flatMap { case (a, b) => Seq((a, b), (b, a)) }
+    assert(diameterOf(kite) == Some(2))
+  }
+
   test("profile: full characterization of the diamond graph") {
     val p = GraphOps.profile("diamond", df(diamond), numParts = 2)
     assert(p.vertices == 4)

@@ -18,7 +18,7 @@ class MetricsSpec extends SparkSpec {
   private val square = Seq((0L, 1L), (1L, 2L), (2L, 3L), (3L, 0L))
 
   test("SC on a 4-cycle with 2 partitions: every vertex is cut") {
-    val m = Metrics.compute("square", df(square), Partitioners.SC, 2)
+    val m = Metrics.computeAll("square", df(square), 2, Seq(Partitioners.SC)).head
     assert(m.numEdges == 4)
     assert(m.numVertices == 4)
     assert(m.balance == 1.0)
@@ -29,7 +29,7 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("single-partition metrics: nothing is cut") {
-    val m = Metrics.compute("square", df(square), Partitioners.RVC, 1)
+    val m = Metrics.computeAll("square", df(square), 1, Seq(Partitioners.RVC)).head
     assert(m.balance == 1.0)
     assert(m.nonCut == 4)
     assert(m.cut == 0)
@@ -40,7 +40,7 @@ class MetricsSpec extends SparkSpec {
   test("empty partitions count towards balance and stdev") {
     // Two edges from even sources on 4 partitions via SC: partitions 1,3 empty.
     val edges = Seq((0L, 2L), (2L, 0L))
-    val m     = Metrics.compute("pair", df(edges), Partitioners.SC, 4)
+    val m     = Metrics.computeAll("pair", df(edges), 4, Seq(Partitioners.SC)).head
     assert(m.numEdges == 2)
     assert(m.balance == 2.0) // max 1 vs mean 0.5
     assert(m.partStDev == 0.5)
@@ -50,14 +50,14 @@ class MetricsSpec extends SparkSpec {
 
   test("numParts must be positive") {
     assertThrows[IllegalArgumentException](
-      Metrics.compute("x", df(square), Partitioners.RVC, 0))
+      Metrics.computeAll("x", df(square), 0, Seq(Partitioners.RVC)).head)
   }
 
   test("an empty edge list gives one zero row per strategy") {
     val empty = df(Seq.empty)
     val rows  = Metrics.computeAll("empty", empty, 4)
     assert(rows.map(_.partitioner) == Partitioners.all.map(_.name))
-    for (m <- rows :+ Metrics.compute("empty", empty, Partitioners.SC, 4)) {
+    for (m <- rows :+ Metrics.computeAll("empty", empty, 4, Seq(Partitioners.SC)).head) {
       assert(m.numEdges == 0 && m.numVertices == 0)
       assert(m.nonCut == 0 && m.cut == 0 && m.commCost == 0)
       assert(m.balance == 1.0 && m.partStDev == 0.0)
@@ -95,7 +95,7 @@ class MetricsSpec extends SparkSpec {
 
   for (s <- Partitioners.all; n <- Seq(3, 8, 16)) {
     test(s"${s.name} @ $n partitions matches the in-memory reference metrics") {
-      assertMatchesReference(Metrics.compute("sample", df(sample), s, n), s, n)
+      assertMatchesReference(Metrics.computeAll("sample", df(sample), n, Seq(s)).head, s, n)
     }
   }
 
@@ -149,7 +149,7 @@ class MetricsSpec extends SparkSpec {
 
   for (s <- Partitioners.all) {
     test(s"${s.name}: invariants hold on an RMAT graph @ 16 partitions") {
-      val m = Metrics.compute("rmat", rmatEdges, s, 16)
+      val m = Metrics.computeAll("rmat", rmatEdges, 16, Seq(s)).head
       assert(m.nonCut + m.cut == m.numVertices, "replica breakdown covers all vertices")
       assert(m.cut == 0 || m.commCost >= 2 * m.cut, "each cut vertex has >= 2 replicas")
       assert(m.commCost <= 16L * m.cut, "replicas bounded by partition count")
@@ -161,8 +161,8 @@ class MetricsSpec extends SparkSpec {
 
   test("CRVC never replicates more than RVC on a symmetric graph") {
     val sym = repro.graph.SynthGraphs.symmetrize(rmatEdges).cache()
-    val rvc  = Metrics.compute("sym", sym, Partitioners.RVC, 16)
-    val crvc = Metrics.compute("sym", sym, Partitioners.CRVC, 16)
+    val rvc  = Metrics.computeAll("sym", sym, 16, Seq(Partitioners.RVC)).head
+    val crvc = Metrics.computeAll("sym", sym, 16, Seq(Partitioners.CRVC)).head
     assert(crvc.commCost < rvc.commCost,
       s"CRVC (${crvc.commCost}) should collocate reciprocal edges vs RVC (${rvc.commCost})")
     sym.unpersist()
@@ -186,7 +186,7 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("tableRow formats all five metric columns") {
-    val row = Metrics.compute("square", df(square), Partitioners.SC, 2).tableRow
+    val row = Metrics.computeAll("square", df(square), 2, Seq(Partitioners.SC)).head.tableRow
     for (frag <- Seq("square", "SC", "1.00", "8")) assert(row.contains(frag))
   }
 }

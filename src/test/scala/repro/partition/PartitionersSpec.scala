@@ -142,16 +142,6 @@ class PartitionersSpec extends AnyFunSuite {
     }
   }
 
-  test("byName resolves all six paper names") {
-    for (name <- Seq("RVC", "1D", "2D", "CRVC", "SC", "DC")) {
-      assert(Partitioners.byName(name).name == name)
-    }
-  }
-
-  test("byName rejects unknown names") {
-    assertThrows[IllegalArgumentException](Partitioners.byName("METIS"))
-  }
-
   test("all lists the six strategies in paper order") {
     assert(Partitioners.all.map(_.name) == Seq("RVC", "1D", "2D", "CRVC", "SC", "DC"))
   }

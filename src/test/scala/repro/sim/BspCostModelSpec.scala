@@ -1,7 +1,6 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Parsel
 import repro.partition.PartitionMetrics
 
 /** Cost-model tests: monotonicity in every resource and the paper's
@@ -32,14 +31,6 @@ class BspCostModelSpec extends AnyFunSuite {
     val high = BspCostModel.estimateSeconds(metrics(commCost = 2000000), bytes, 10, Infra.ConfigII)
     val low  = BspCostModel.estimateSeconds(metrics(commCost = 500000), bytes, 10, Infra.ConfigII)
     assert(low < high)
-  }
-
-  test("vertex-bound algorithms price messages by Cut, not CommCost") {
-    val a = BspCostModel.estimateSeconds(metrics(commCost = 1, cut = 1000000), bytes, 10,
-      Infra.ConfigII, Parsel.VertexBound)
-    val b = BspCostModel.estimateSeconds(metrics(commCost = 1000000, cut = 1), bytes, 10,
-      Infra.ConfigII, Parsel.VertexBound)
-    assert(b < a)
   }
 
   test("worse balance increases compute time") {
