@@ -12,22 +12,33 @@ import org.apache.spark.storage.StorageLevel
   */
 object GraphBuilder {
 
+  /** The graph of `edges` in their input layout, which `Graph.fromEdges` caches. */
+  private def unpartitioned(edges: DataFrame): Graph[Int, Int] =
+    Graph.fromEdges(edges.select("src", "dst").rdd.map(r => Edge(r.getLong(0), r.getLong(1), 1)),
+      defaultValue = 1, edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
+      vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
+
   /** Build a graph whose edges are distributed by `strategy` into `numParts`
     * partitions. Vertex and edge attributes are unit values; the algorithms
     * re-attach whatever state they need.
     */
-  def partitioned(
-      edges: DataFrame,
-      strategy: PartitionStrategy,
-      numParts: Int): Graph[Int, Int] = {
-    val edgeRdd = edges
-      .select("src", "dst")
-      .rdd
-      .map(r => Edge(r.getLong(0), r.getLong(1), 1))
-    Graph
-      .fromEdges(edgeRdd, defaultValue = 1,
-        edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
-        vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
-      .partitionBy(strategy, numParts)
+  def partitioned(edges: DataFrame, strategy: PartitionStrategy, numParts: Int): Graph[Int, Int] =
+    unpartitioned(edges).partitionBy(strategy, numParts)
+
+  /** `use` applied to the cached graph [[partitioned]] builds. Afterwards,
+    * whether `use` returns or throws, that graph and the unpartitioned one it
+    * came from are unpersisted, blocking: an asynchronous removal can race the
+    * ContextCleaner's removal of the same blocks, which logs "Asked to remove
+    * block …, which does not exist".
+    */
+  def withGraph[A](edges: DataFrame, strategy: PartitionStrategy, numParts: Int)(
+      use: Graph[Int, Int] => A): A = {
+    val source = unpartitioned(edges)
+    val graph = source.partitionBy(strategy, numParts).cache()
+    try use(graph)
+    finally {
+      graph.unpersist(blocking = true)
+      source.unpersist(blocking = true)
+    }
   }
 }

@@ -43,7 +43,7 @@ object Experiments {
 
   /** `use` applied to the cached edges of `spec` at 1/`div` scale, which are
     * unpersisted afterwards, blocking for the reason given in
-    * `GraphOps.profile`.
+    * `GraphBuilder.withGraph`. Every driver below gets its edges here.
     */
   private[core] def withEdges[A](spark: SparkSession, spec: Datasets.Spec, div: Int)(
       use: DataFrame => A): A = {
@@ -70,12 +70,10 @@ object Experiments {
     * multi-component datasets report ∞.
     */
   def table1(spark: SparkSession): Seq[(Datasets.Spec, GraphProfile)] =
-    Datasets.all.map { spec =>
-      val edges = Datasets.edges(spark, spec, metricDiv)
-      val profile = GraphOps.profile(spec.name, edges,
-        numParts = fineParts, includeDiameter = spec.paperDiameter.isDefined)
-      (spec, profile)
-    }
+    Datasets.all.map(spec => withEdges(spark, spec, metricDiv) { edges =>
+      (spec, GraphOps.profile(spec.name, edges,
+        numParts = fineParts, includeDiameter = spec.paperDiameter.isDefined))
+    })
 
   /** Table 1: each measured profile above the paper's row for the dataset. */
   def printTable1(rows: Seq[(Datasets.Spec, GraphProfile)]): Unit = {
@@ -84,10 +82,9 @@ object Experiments {
       f"${"ZeroOut"}%8s ${"Triangles"}%12s ${"Conn.Comp."}%10s ${"Diam"}%8s ${"Size"}%12s")
     for ((spec, p) <- rows) {
       println("measured  " + p.tableRow)
-      println(f"paper     ${spec.name}%-14s ${spec.paperVertices}%9d ${spec.paperEdges}%10d " +
-        f"${spec.paperSymmPct}%6.2f ${spec.paperZeroInPct}%7.2f ${spec.paperZeroOutPct}%8.2f " +
-        f"${spec.paperTriangles}%12d ${spec.paperComponents}%10d " +
-        f"${spec.paperDiameter.map(_.toString).getOrElse("inf")}%8s ${spec.paperSizeBytes}%12d")
+      println("paper     " + GraphProfile(spec.name, spec.paperVertices, spec.paperEdges,
+        spec.paperSymmPct, spec.paperZeroInPct, spec.paperZeroOutPct, spec.paperTriangles,
+        spec.paperComponents, spec.paperDiameter, spec.paperSizeBytes).tableRow)
     }
   }
 

@@ -92,44 +92,40 @@ object GraphOps {
         .vertices
         .map { case (vid, m) => (vid, m.getOrElse(from, 0)) }
         .reduce((a, b) => if (a._2 > b._2 || a._2 == b._2 && a._1 < b._1) a else b)
-    val start       = graph.vertices.map(_._1).min()
-    val (far, _)    = farthest(start)
-    val (_, radius) = farthest(far)
-    radius
+    try {
+      val start       = graph.vertices.map(_._1).min()
+      val (far, _)    = farthest(start)
+      val (_, radius) = farthest(far)
+      radius
+    } finally und.unpersist(blocking = true)
   }
 
   /** Full Table 1 characterization of one edge list. The GraphX-side measures
     * run on an RVC-partitioned graph (partitioner choice cannot change the
-    * results — asserted in tests). The diameter is `None` (the paper's ∞)
-    * when the graph has more than one component or `includeDiameter` is off.
+    * results — asserted in tests), which `GraphBuilder.withGraph` caches and
+    * releases; `edges` are read as the caller left them, cached or not. The
+    * diameter is `None` (the paper's ∞) when the graph has more than one
+    * component or `includeDiameter` is off.
     */
   def profile(name: String, edges: DataFrame, numParts: Int = 16,
-      includeDiameter: Boolean = true): GraphProfile = {
-    val cached = edges.cache()
-    try {
-      val graph = GraphBuilder.partitioned(cached, Partitioners.RVC, numParts).cache()
-      val counts = degrees(cached)
+      includeDiameter: Boolean = true): GraphProfile =
+    GraphBuilder.withGraph(edges, Partitioners.RVC, numParts) { graph =>
+      val counts = degrees(edges)
         .agg(count(lit(1)), count(when(col("inDeg") === 0, 1)), count(when(col("outDeg") === 0, 1)))
         .head()
       val vertices = counts.getLong(0)
       def pct(n: Long) = if (vertices == 0) 0.0 else 100.0 * n / vertices
       val components = ConnectedComponentsAlg.count(graph)
-      val p = GraphProfile(
+      GraphProfile(
         name = name,
         vertices = vertices,
-        edges = cached.count(),
-        symmPct = symmetryPct(cached),
+        edges = edges.count(),
+        symmPct = symmetryPct(edges),
         zeroInPct = pct(counts.getLong(1)),
         zeroOutPct = pct(counts.getLong(2)),
         triangles = TriangleCountAlg.total(graph),
         components = components,
         diameter = if (includeDiameter && components == 1L) Some(doubleSweep(graph)) else None,
-        sizeBytes = sizeOnDiskBytes(cached))
-      // Blocking, like the unpersist below: an asynchronous removal can race
-      // the ContextCleaner's removal of the same blocks, which logs "Asked to
-      // remove block …, which does not exist". Neither call is timed.
-      graph.unpersist(blocking = true)
-      p
-    } finally cached.unpersist(blocking = true)
-  }
+        sizeBytes = sizeOnDiskBytes(edges))
+    }
 }

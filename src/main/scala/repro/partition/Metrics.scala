@@ -2,7 +2,6 @@ package repro.partition
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 
 /** The five partitioning metrics of Tables 2/3 for one (graph, strategy,
   * numPartitions) combination. Semantics per the paper's Appendix A:
@@ -82,8 +81,10 @@ object Metrics {
         count(lit(1)).as("numVertices"))
   }
 
-  /** Metrics for every strategy over one graph, in the order of `strategies`;
-    * caches `edges` unless the caller did.
+  /** Metrics for every strategy over one graph, in the order of `strategies`.
+    * `edges` are read twice and left as the caller gave them: a caller that
+    * cached them (`Experiments.withEdges`) keeps its cache, and an uncached
+    * input is recomputed, which yields the same edges.
     */
   def computeAll(
       dataset: String,
@@ -91,24 +92,20 @@ object Metrics {
       numParts: Int,
       strategies: Seq[Strategy] = Partitioners.all): Seq[PartitionMetrics] = {
     require(numParts > 0, s"numParts must be positive, got $numParts")
-    val owned = edges.storageLevel == StorageLevel.NONE
-    if (owned) edges.cache()
-    try {
-      val assigned = assign(edges, strategies, numParts)
-      val sizes = partitionSizes(assigned).collect()
-        .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
-      val replicas = replicaSummary(assigned).collect()
-        .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2), r.getLong(3), r.getLong(4)))).toMap
-      strategies.zipWithIndex.map { case (strategy, s) =>
-        val parts     = Array.tabulate(numParts)(p => sizes.getOrElse((s, p), 0L))
-        val numEdges  = parts.sum
-        val mean      = numEdges.toDouble / numParts
-        val balance   = if (numEdges == 0) 1.0 else parts.max / mean
-        val partStDev = math.sqrt(parts.map(n => (n - mean) * (n - mean)).sum / numParts)
-        val (nonCut, cut, commCost, numVertices) = replicas.getOrElse(s, (0L, 0L, 0L, 0L))
-        PartitionMetrics(dataset, strategy.name, numParts, numEdges, numVertices,
-          balance, nonCut, cut, commCost, partStDev)
-      }
-    } finally if (owned) edges.unpersist()
+    val assigned = assign(edges, strategies, numParts)
+    val sizes = partitionSizes(assigned).collect()
+      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
+    val replicas = replicaSummary(assigned).collect()
+      .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2), r.getLong(3), r.getLong(4)))).toMap
+    strategies.zipWithIndex.map { case (strategy, s) =>
+      val parts     = Array.tabulate(numParts)(p => sizes.getOrElse((s, p), 0L))
+      val numEdges  = parts.sum
+      val mean      = numEdges.toDouble / numParts
+      val balance   = if (numEdges == 0) 1.0 else parts.max / mean
+      val partStDev = math.sqrt(parts.map(n => (n - mean) * (n - mean)).sum / numParts)
+      val (nonCut, cut, commCost, numVertices) = replicas.getOrElse(s, (0L, 0L, 0L, 0L))
+      PartitionMetrics(dataset, strategy.name, numParts, numEdges, numVertices,
+        balance, nonCut, cut, commCost, partStDev)
+    }
   }
 }

@@ -44,6 +44,22 @@ class AlgorithmsSpec extends SparkSpec {
     assert(back == sample.toSet)
   }
 
+  test("GraphBuilder.withGraph: leaves no RDD persisted, after return or throw") {
+    def persisted = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    // Ids, not a count: the ContextCleaner may drop other RDDs meanwhile.
+    def leftBy(run: => Unit) = { val before = persisted; run; persisted -- before }
+    val built = leftBy(GraphBuilder.withGraph(df(sample), Partitioners.TwoD, 4) { g =>
+      assert(g.edges.count() == sample.size)
+    })
+    assert(built.isEmpty, s"left persisted: $built")
+    val failed = leftBy(assertThrows[IllegalStateException](
+      GraphBuilder.withGraph(df(sample), Partitioners.TwoD, 4) { g =>
+        g.vertices.count()
+        throw new IllegalStateException("body failed")
+      }))
+    assert(failed.isEmpty, s"left persisted: $failed")
+  }
+
   // --- PageRank ---
 
   test("PageRank matches the in-memory reference on a chain") {

@@ -2,6 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec}
 
 /** Characterization-op tests against hand-counted graphs and DuckDB SQL. */
@@ -138,6 +139,14 @@ class GraphOpsSpec extends SparkSpec {
     assert(p.components == 2)
     assert(p.diameterStr == "inf")
     assert(p.tableRow.contains("inf"))
+  }
+
+  test("profile: a cached input stays cached") {
+    val edges = df(diamond).cache()
+    edges.count()
+    GraphOps.profile("diamond", edges, numParts = 2)
+    assert(edges.storageLevel != StorageLevel.NONE)
+    edges.unpersist(blocking = true)
   }
 
   test("profile: includeDiameter=false skips the BFS sweeps") {

@@ -174,7 +174,7 @@ class MetricsSpec extends SparkSpec {
     assert(rows.map(_.numEdges).distinct.size == 1)
   }
 
-  test("computeAll keeps the caller's cache and releases only its own") {
+  test("computeAll leaves its input's storage level as it found it") {
     val cached = df(square).cache()
     cached.count()
     Metrics.computeAll("square", cached, 2)
